@@ -18,36 +18,21 @@ let ok_or_fail where = function
   | Error msg -> fail "%s: %s" where msg
 
 (* ------------------------------------------------------------------ *)
-(* Result cache                                                        *)
+(* Run configuration                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One process-wide cache for every variant launch the suite performs,
-   configured once by the binaries (--cache-dir / --no-cache).  A full
-   figure regeneration measures the same (variant, options, machine)
-   triples over and over across figures — and identically across
-   invocations — so replaying stored reports is the paper-scale lever. *)
-let cache : Mt_parallel.Cache.t option ref = ref None
+(* The run config every figure launch uses, set once by the binaries
+   from the shared flags.  Launches shape their options through
+   [Run_config.apply_options], as a study's do, and go through the
+   config's cache: a full regeneration measures the same (variant,
+   options, machine) triples over and over across figures and runs. *)
+let run_config = ref Study.Run_config.default
 
-let set_cache c = cache := c
+let set_run_config config = run_config := config
 
-(* Process-wide adaptive-measurement override, configured like the
-   cache (--adaptive-experiments / --rciw-target / --max-experiments):
-   every figure's hand-tuned experiment count becomes the minimum and
-   the quality controller decides the rest.  The ceiling is clamped up
-   to each launch's own experiment count so [Options.validate] never
-   rejects a figure that asks for more than the global budget. *)
-let adaptive : (float * int) option ref = ref None
-
-let set_adaptive a = adaptive := a
-
-(* Bottleneck profiling, configured the same way (--profile): every
-   launch records attribution, and the breakdowns are collected here
-   for the binary to render after the tables.  Figures measure from
-   parallel domains, so collection is a lock-free push. *)
-let profile = ref false
-
-let set_profile p = profile := p
-
+(* Profiles collected from every launch, for the binary to render after
+   the tables.  Figures measure from parallel domains, so collection is
+   a lock-free push. *)
 let collected_profiles : (string * Mt_profile.breakdown) list Atomic.t =
   Atomic.make []
 
@@ -62,21 +47,9 @@ let profiles () =
   List.sort_uniq Stdlib.compare (Atomic.get collected_profiles)
 
 let launch_variant opts variant =
-  let opts =
-    match !adaptive with
-    | None -> opts
-    | Some (rciw_target, max_experiments) ->
-      {
-        opts with
-        Options.adaptive_experiments = true;
-        rciw_target;
-        max_experiments = max max_experiments opts.Options.experiments;
-      }
-  in
-  let opts =
-    if !profile then { opts with Options.profile = true } else opts
-  in
-  let result = Study.cached_launch ?cache:!cache opts variant in
+  let config = !run_config in
+  let opts = Study.Run_config.apply_options config opts in
+  let result = Study.cached_launch ?cache:config.Study.Run_config.cache opts variant in
   (match result with
   | Ok r ->
     Option.iter
@@ -1109,11 +1082,6 @@ let all ?quick () = List.map (fun (_, f) -> f ?quick ()) registry
 (* ------------------------------------------------------------------ *)
 (* Supervised batch execution                                          *)
 (* ------------------------------------------------------------------ *)
-
-let set_run_config (config : Study.Run_config.t) =
-  set_cache config.Study.Run_config.cache;
-  set_adaptive config.Study.Run_config.adaptive;
-  set_profile config.Study.Run_config.profile
 
 type table_outcome =
   | Table of Exp_table.t

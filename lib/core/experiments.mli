@@ -11,20 +11,13 @@
     dual-socket X5650 preset, Figures 15–16 on the quad-socket X7550,
     Figures 17–18 and Table 2 on the Sandy Bridge E3-1240. *)
 
-val set_cache : Mt_parallel.Cache.t option -> unit
-(** Install (or clear) the process-wide result cache every experiment's
-    variant launches are routed through — see {!Study.cached_launch}.
-    The binaries set it from [--cache-dir] / [--no-cache]; tests and
-    library users may leave it unset for always-fresh simulation. *)
-
-val set_adaptive : (float * int) option -> unit
-(** [set_adaptive (Some (rciw_target, max_experiments))] turns on the
-    adaptive experiment controller for every subsequent launch: each
-    figure's configured experiment count becomes the minimum, and the
-    launcher keeps measuring until the series' bootstrap RCIW reaches
-    [rciw_target] or [max_experiments] is exhausted (clamped up to the
-    figure's own count when that is larger).  [None] (the default)
-    restores fixed-count measurement. *)
+val set_run_config : Study.Run_config.t -> unit
+(** Set the run config every experiment's variant launches use: its
+    [cache] routes them through {!Study.cached_launch}, and
+    {!Study.Run_config.apply_options} shapes their options (adaptive
+    budget, profiling, seed, sim budget) as in a study.  The binaries
+    set it from the shared [Mt_cli] flags; the default is
+    {!Study.Run_config.default}, always-fresh fixed-count simulation. *)
 
 val fig03 : ?quick:bool -> unit -> Exp_table.t
 (** Matmul cycles/iteration vs matrix size: the memory-hierarchy
@@ -113,21 +106,12 @@ val by_id : string -> (?quick:bool -> unit -> Exp_table.t) option
 
 val ids : string list
 
-val set_profile : bool -> unit
-(** Turn bottleneck attribution on for every subsequent launch (the
-    [--profile] flag): each launch's report carries a breakdown, and a
-    copy is collected for {!profiles}. *)
-
 val profiles : unit -> (string * Mt_profile.breakdown) list
-(** The breakdowns collected since the process started, labelled
+(** The breakdowns collected since the process started (launches under
+    a run config with [profile] on), labelled
     [<variant-id>@<array-KB>] (the same variant is measured at several
     hierarchy levels) and sorted by label with duplicates collapsed,
     so parallel figure execution cannot reorder the output. *)
-
-val set_run_config : Study.Run_config.t -> unit
-(** {!set_cache} + {!set_adaptive} + {!set_profile} from one
-    {!Study.Run_config.t} — what the binaries call after parsing the
-    shared [Mt_cli] flags. *)
 
 (** One experiment's fate in a supervised batch. *)
 type table_outcome =
@@ -148,4 +132,4 @@ val run_tables :
     aborting the batch.  [config.faults] injects failures by position
     in [ids] (corrupt-cache faults are ignored here — they target
     variant cache entries).  Call {!set_run_config} first so the
-    launches see the batch's cache and adaptive settings. *)
+    launches see the batch's cache and option settings. *)

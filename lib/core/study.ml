@@ -96,38 +96,6 @@ module Run_config = struct
       plan;
     }
 
-  let with_domains domains t = { t with domains }
-
-  let with_cache cache t = { t with cache }
-
-  let with_seed seed t = { t with seed }
-
-  let with_adaptive adaptive t = { t with adaptive }
-
-  let with_policy policy t = { t with policy }
-
-  let with_faults faults t = { t with faults }
-
-  let with_journal journal_out t = { t with journal_out }
-
-  let with_resume resume_from t = { t with resume_from }
-
-  let with_trace_out trace_out t = { t with trace_out }
-
-  let with_metrics_out metrics_out t = { t with metrics_out }
-
-  let with_snapshot_out snapshot_out t = { t with snapshot_out }
-
-  let with_history_append history_append t = { t with history_append }
-
-  let with_trace_detail trace_detail t = { t with trace_detail }
-
-  let with_profile profile t = { t with profile }
-
-  let with_profile_folded profile_folded t = { t with profile_folded }
-
-  let with_plan plan t = { t with plan }
-
   let effective_domains t =
     if t.domains <= 0 then Mt_parallel.Pool.available_domains ()
     else t.domains

@@ -25,7 +25,8 @@ val variants : t -> Variant.t list
     backoff / budgets), injected faults, the checkpoint journal, and
     the observability outputs.  {!Mt_cli} builds one of these from the
     shared command-line flags; library callers use {!Run_config.make}
-    or pipe {!Run_config.default} through the [with_*] setters. *)
+    or update {!Run_config.default} as a record,
+    [{ Run_config.default with seed = Some 7 }]. *)
 module Run_config : sig
   type t = {
     domains : int;
@@ -82,38 +83,6 @@ module Run_config : sig
     ?plan:Mt_optimize.Plan.t ->
     unit ->
     t
-
-  val with_domains : int -> t -> t
-
-  val with_cache : Mt_parallel.Cache.t option -> t -> t
-
-  val with_seed : int option -> t -> t
-
-  val with_adaptive : (float * int) option -> t -> t
-
-  val with_policy : Mt_resilience.Policy.t -> t -> t
-
-  val with_faults : Mt_resilience.Fault.t list -> t -> t
-
-  val with_journal : string option -> t -> t
-
-  val with_resume : string option -> t -> t
-
-  val with_trace_out : string option -> t -> t
-
-  val with_metrics_out : string option -> t -> t
-
-  val with_snapshot_out : string option -> t -> t
-
-  val with_history_append : string option -> t -> t
-
-  val with_trace_detail : Mt_telemetry.detail -> t -> t
-
-  val with_profile : bool -> t -> t
-
-  val with_profile_folded : string option -> t -> t
-
-  val with_plan : Mt_optimize.Plan.t option -> t -> t
 
   val effective_domains : t -> int
   (** [domains], resolving [<= 0] to

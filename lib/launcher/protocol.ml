@@ -115,19 +115,17 @@ let array_bases p = p.bases
    scale is self-consistent, which is all a timeline needs. *)
 let trace_lane_tid = 1_000_000
 
+(* The cache series are each data cache's own hit/miss counters, taken
+   as deltas since the call started: reading a counter observes the
+   simulation without intercepting a single access. *)
 let run_traced p tel stride =
   let tid = trace_lane_tid + (Domain.self () :> int) in
-  let l1h = ref 0 and l1m = ref 0 in
-  let l2h = ref 0 and l2m = ref 0 in
-  let l3h = ref 0 and l3m = ref 0 in
-  Memory.set_access_hook p.memory
-    (Some
-       (fun level ~hit ->
-         match level with
-         | Memory.L1 -> if hit then incr l1h else incr l1m
-         | Memory.L2 -> if hit then incr l2h else incr l2m
-         | Memory.L3 -> if hit then incr l3h else incr l3m
-         | Memory.Ram -> ()));
+  let m = p.memory in
+  let lanes =
+    List.map
+      (fun (name, c) -> (name, c, Cache.hits c, Cache.misses c))
+      [ ("cache.L1", m.Memory.l1); ("cache.L2", m.Memory.l2); ("cache.L3", m.Memory.l3) ]
+  in
   let seen = ref 0 in
   let trace pc insn ~issue ~completion =
     let n = !seen in
@@ -137,22 +135,23 @@ let run_traced p tel stride =
         (Mt_isa.Insn.to_string insn)
         ~args:[ ("pc", string_of_int pc) ]
         ~tid ~start_us:issue ~dur_us:(completion -. issue);
-      let point hits misses = [ ("hit", float_of_int !hits); ("miss", float_of_int !misses) ] in
-      Mt_telemetry.series ~ts_us:completion ~tid tel "cache.L1" (point l1h l1m);
-      Mt_telemetry.series ~ts_us:completion ~tid tel "cache.L2" (point l2h l2m);
-      Mt_telemetry.series ~ts_us:completion ~tid tel "cache.L3" (point l3h l3m)
+      List.iter
+        (fun (name, c, hits0, misses0) ->
+          Mt_telemetry.series ~ts_us:completion ~tid tel name
+            [
+              ("hit", float_of_int (Cache.hits c - hits0));
+              ("miss", float_of_int (Cache.misses c - misses0));
+            ])
+        lanes
     end
   in
-  Fun.protect
-    ~finally:(fun () -> Memory.set_access_hook p.memory None)
-    (fun () ->
-      Core.run ~init:p.init ~max_instructions:p.opts.Options.max_instructions
-        ~trace ?attr:p.attr p.cfg p.memory p.compiled)
+  Core.run ~init:p.init ~max_instructions:p.opts.Options.max_instructions
+    ~trace ?attr:p.attr p.cfg p.memory p.compiled
 
 let run_once p =
   (* The detail gate is two atomic loads and a branch; when Off the
      simulate path below is exactly the pre-lane call — no closure, no
-     hook, no allocation. *)
+     allocation. *)
   let tel = Mt_telemetry.global () in
   let stride = Mt_telemetry.sample_stride (Mt_telemetry.detail ()) in
   match

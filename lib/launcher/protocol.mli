@@ -39,10 +39,11 @@ val run_once : prepared -> (Mt_machine.Core.outcome, string) result
     trace lanes: one complete event per sampled dynamic instruction
     (name = disassembly, ["pc"] argument, ts = issue cycle, duration =
     issue-to-completion cycles) and three ["cache.L1"/"cache.L2"/
-    "cache.L3"] counter series carrying cumulative hit/miss counts, all
-    on a simulated-time track ([tid] = 1,000,000 + domain id).  With
-    detail [Off] the simulate path is byte-for-byte the plain
-    {!Mt_machine.Core.run} call — no hook, no allocation. *)
+    "cache.L3"] counter series carrying each cache's hit/miss counts
+    since the call started, all on a simulated-time track ([tid] =
+    1,000,000 + domain id).  With detail [Off] the simulate path is
+    byte-for-byte the plain {!Mt_machine.Core.run} call — no closure,
+    no allocation. *)
 
 val measure : ?mode:string -> prepared -> (Report.t, string) result
 (** The full protocol.  The reported value and per-experiment series

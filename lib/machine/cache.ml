@@ -1,5 +1,4 @@
 type t = {
-  geom : Config.cache_geom;
   sets : int;
   ways : int;
   line_shift : int;
@@ -10,9 +9,6 @@ type t = {
   tags : int array;
   mutable hit_count : int;
   mutable miss_count : int;
-  (* Per-access observer for deep trace lanes; [None] (the default)
-     costs one branch per access. *)
-  mutable on_access : (hit:bool -> unit) option;
   set_mask : int;
   (* Per set, the line served by the set's previous access.  A repeat
      of the same line is a guaranteed hit already sitting at way 0
@@ -32,21 +28,15 @@ let create (geom : Config.cache_geom) =
   let sets = geom.size_bytes / (geom.line_bytes * geom.associativity) in
   if sets <= 0 then invalid_arg "Cache.create: set count must be positive";
   {
-    geom;
     sets;
     ways = geom.associativity;
     line_shift = log2_exact geom.line_bytes;
     tags = Array.make (sets * geom.associativity) (-1);
     hit_count = 0;
     miss_count = 0;
-    on_access = None;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else min_int);
     last_line = Array.make sets min_int;
   }
-
-let set_on_access t hook = t.on_access <- hook
-
-let geometry t = t.geom
 
 let line_of_addr t addr = addr lsr t.line_shift
 
@@ -74,7 +64,6 @@ let access t line =
     (* Guaranteed hit at way 0: the set's previous access left this
        line most-recently-used, so the scan and shuffle are no-ops. *)
     t.hit_count <- t.hit_count + 1;
-    (match t.on_access with None -> () | Some f -> f ~hit:true);
     true
   end
   else begin
@@ -106,7 +95,6 @@ let access t line =
       done;
       Array.unsafe_set tags base line
     end;
-    (match t.on_access with None -> () | Some f -> f ~hit);
     hit
   end
 

@@ -3,14 +3,12 @@
     concurrently streamed arrays emerge from this model directly. *)
 
 type t = {
-  geom : Config.cache_geom;
   sets : int;
   ways : int;
   line_shift : int;
   tags : int array;
   mutable hit_count : int;
   mutable miss_count : int;
-  mutable on_access : (hit:bool -> unit) option;
   set_mask : int;
   last_line : int array;
 }
@@ -25,8 +23,6 @@ type t = {
 
 val create : Config.cache_geom -> t
 
-val geometry : t -> Config.cache_geom
-
 val access : t -> int -> bool
 (** [access t line] looks up line number [line] (byte address divided by
     the line size is the caller's job — see {!line_of_addr}); on a miss
@@ -35,13 +31,6 @@ val access : t -> int -> bool
 
 val probe : t -> int -> bool
 (** Like {!access} but without updating any state. *)
-
-val set_on_access : t -> (hit:bool -> unit) option -> unit
-(** Install (or clear, with [None]) a per-access observer: called by
-    every {!access} with the hit/miss outcome, after counters update.
-    [probe] never fires it.  The default is [None], which costs one
-    branch per access — the deep trace lanes install hooks only while a
-    traced measurement is running. *)
 
 val line_of_addr : t -> int -> int
 (** Byte address to line number. *)

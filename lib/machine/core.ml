@@ -410,7 +410,7 @@ let port_booker pf = function
 (* The reference interpreter: the original per-instruction loop over
    the decoded array, kept verbatim as the oracle the fast path is
    tested against (golden corpus + QCheck equivalence suites). *)
-let run_reference ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
+let run_reference ?(init = []) ?(max_instructions = 50_000_000) ?attr
     (cfg : Config.t) (memory : Memory.t) (cp : compiled) =
   let prog = cp.dec in
   let exec = Exec.create () in
@@ -536,9 +536,6 @@ let run_reference ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
             | Semantics.Alu -> incr alu_ops
             | Semantics.Load | Semantics.Store | Semantics.Branch_port -> ())
           d.ports;
-        (match trace with
-        | Some f -> f !pc d.insn ~issue ~completion
-        | None -> ());
         let retire = Float.max completion !last_retire in
         rob.(!issued mod cfg.rob_size) <- retire;
         last_retire := retire;
@@ -832,18 +829,11 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
                          memory.Memory.c_accesses <-
                            memory.Memory.c_accesses + 1;
                          memory.Memory.last_split <- false;
-                         if mem_tlb_on then begin
+                         if mem_tlb_on then
                            mem_dtlb.Cache.hit_count <-
                              mem_dtlb.Cache.hit_count + 1;
-                           match mem_dtlb.Cache.on_access with
-                           | None -> ()
-                           | Some f -> f ~hit:true
-                         end;
                          mem_l1.Cache.hit_count <-
                            mem_l1.Cache.hit_count + 1;
-                         (match mem_l1.Cache.on_access with
-                         | None -> ()
-                         | Some f -> f ~hit:true);
                          memory.Memory.last_level <- Memory.L1;
                          memory.Memory.c_l1_hits <-
                            memory.Memory.c_l1_hits + 1;

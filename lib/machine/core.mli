@@ -75,7 +75,6 @@ val run :
 val run_reference :
   ?init:(Mt_isa.Reg.t * int) list ->
   ?max_instructions:int ->
-  ?trace:(int -> Mt_isa.Insn.t -> issue:float -> completion:float -> unit) ->
   ?attr:Attribution.t ->
   Config.t ->
   Memory.t ->

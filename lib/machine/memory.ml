@@ -140,8 +140,6 @@ let create ?(ram_sharers = 1) (cfg : Config.t) =
     last_split = false;
   }
 
-let config t = t.cfg
-
 let ram_share_bytes_per_cycle t = t.ram_share
 
 let counters t =
@@ -217,20 +215,6 @@ let drain t =
 let level_of_last_access t = t.last_level
 
 let last_access_was_split t = t.last_split
-
-(* Deep trace lanes: one observer over the three data-cache levels
-   (the TLBs stay unobserved — their activity is already summarized by
-   the tlb_misses/page_walks counters). *)
-let set_access_hook t hook =
-  match hook with
-  | None ->
-    Cache.set_on_access t.l1 None;
-    Cache.set_on_access t.l2 None;
-    Cache.set_on_access t.l3 None
-  | Some f ->
-    Cache.set_on_access t.l1 (Some (fun ~hit -> f L1 ~hit));
-    Cache.set_on_access t.l2 (Some (fun ~hit -> f L2 ~hit));
-    Cache.set_on_access t.l3 (Some (fun ~hit -> f L3 ~hit))
 
 (* ------------------------------------------------------------------ *)
 (* Stream prefetch detection                                           *)
@@ -545,9 +529,6 @@ let access_nt t ~nt ~now ~addr ~bytes ~write =
               in
               if page = Array.unsafe_get dtlb.Cache.last_line dset then begin
                 dtlb.Cache.hit_count <- dtlb.Cache.hit_count + 1;
-                (match dtlb.Cache.on_access with
-                | None -> ()
-                | Some f -> f ~hit:true);
                 now
               end
               else if Cache.access dtlb page then now
@@ -562,9 +543,6 @@ let access_nt t ~nt ~now ~addr ~bytes ~write =
             in
             if first_line = Array.unsafe_get l1.Cache.last_line lset then begin
               l1.Cache.hit_count <- l1.Cache.hit_count + 1;
-              (match l1.Cache.on_access with
-              | None -> ()
-              | Some f -> f ~hit:true);
               t.last_level <- L1;
               t.c_l1_hits <- t.c_l1_hits + 1;
               now +. float_of_int t.cfg.l1_latency_cycles
@@ -619,12 +597,3 @@ let access_nt t ~nt ~now ~addr ~bytes ~write =
 
 let access ?(nt = false) t ~now ~addr ~bytes ~write =
   access_nt t ~nt ~now ~addr ~bytes ~write
-
-let access_batch ?(nt = false) t ~now ~addr ~stride ~count ~bytes ~write =
-  let ready = ref now in
-  let a = ref addr in
-  for _ = 1 to count do
-    ready := access_nt t ~nt ~now ~addr:!a ~bytes ~write;
-    a := !a + stride
-  done;
-  !ready

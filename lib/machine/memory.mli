@@ -54,8 +54,9 @@ type t = {
     a cross-module call or a boxed float return.  The inline path
     performs exactly the mutations {!access} would; every check it
     makes before deciding is pure, so any failure falls back to
-    {!access_nt} with no state touched.  All other users must go
-    through {!access}. *)
+    {!access_nt} with no state touched.  All other users must mutate
+    it only through {!access}; the launcher's trace lanes read the
+    [l1]/[l2]/[l3] caches' hit/miss counters. *)
 
 type counters = {
   accesses : int;
@@ -92,27 +93,6 @@ val access_nt :
     core's allocation-free path uses this so a dynamic [~nt] never
     constructs an option per access. *)
 
-val access_batch :
-  ?nt:bool ->
-  t ->
-  now:float ->
-  addr:int ->
-  stride:int ->
-  count:int ->
-  bytes:int ->
-  write:bool ->
-  float
-(** [access_batch t ~now ~addr ~stride ~count ~bytes ~write] issues
-    [count] accesses at [addr], [addr+stride], ... — all at time [now],
-    the fill pipeline serializing internally — and returns the last
-    access's data-ready time.  Observationally identical to folding
-    {!access} over the addresses; the win is that a dense stream
-    resolves its stream-table and translation bookkeeping once per
-    line (the same-line accesses hit the repeat-access memo) instead
-    of once per access, and the per-call overhead is paid once. *)
-
-val config : t -> Config.t
-
 val counters : t -> counters
 
 val counters_to_alist : counters -> (string * int) list
@@ -136,15 +116,6 @@ val level_of_last_access : t -> level
 val last_access_was_split : t -> bool
 (** Whether the most recent access straddled a cache line (the core
     books a replay uop on the port when it did). *)
-
-val set_access_hook : t -> (level -> hit:bool -> unit) option -> unit
-(** Install (or clear) a per-lookup observer over the L1/L2/L3 data
-    caches: fired once per level a lookup reaches, with that level's
-    hit/miss outcome (so an L2 hit fires [L1 ~hit:false] then
-    [L2 ~hit:true]; [Ram] is never passed — a RAM access is the
-    [L3 ~hit:false] event).  The launcher's [--trace-detail] lanes use
-    this; when no hook is installed each access costs one extra branch
-    per level. *)
 
 val ram_share_bytes_per_cycle : t -> float
 (** The DRAM bandwidth share this pipeline was created with. *)

@@ -69,7 +69,9 @@ let exec_metric = "serve.job.exec.us"
    event on stdout, flushed per line so `mt_serve | jq` tails live.
    Guarded by config so the default human banner stays byte-identical.
    stdout is shared with job execution output; the single print is
-   atomic enough (one write of one line) for line-oriented consumers. *)
+   atomic enough (one write of one line) for line-oriented consumers.
+   Best-effort: a reader that went away (EPIPE, SIGPIPE being ignored)
+   must not stop jobs. *)
 let log_json d event fields =
   if d.config.log_json then begin
     let doc =
@@ -78,9 +80,11 @@ let log_json d event fields =
         :: ("event", Mt_obsv.Json.Str event)
         :: fields)
     in
-    print_string (Mt_obsv.Json.to_string doc);
-    print_newline ();
-    flush stdout
+    try
+      print_string (Mt_obsv.Json.to_string doc);
+      print_newline ();
+      flush stdout
+    with Sys_error _ -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -140,9 +144,11 @@ let job_run_config d job =
   | Some dir ->
     (* Per-job crash journal: a daemon killed mid-job leaves a resumable
        checkpoint behind; the file is removed once the job completes. *)
-    Run_config.with_journal
-      (Some (Filename.concat dir (Printf.sprintf "job-%d.journal" job.id)))
-      config
+    {
+      config with
+      Run_config.journal_out =
+        Some (Filename.concat dir (Printf.sprintf "job-%d.journal" job.id));
+    }
 
 let stream_outcomes d job outcomes =
   let doc = Microtools.Study.csv outcomes in
@@ -213,6 +219,8 @@ let worker d () =
       Atomic.incr d.inflight;
       Mt_telemetry.incr (tel ()) "serve.jobs.started";
       let popped_at = Unix.gettimeofday () in
+      (* Wait for the handler to finish writing [Accepted]. *)
+      Mutex.protect job.lock ignore;
       let queue_wait_us = 1e6 *. (popped_at -. job.submitted_at) in
       Mt_telemetry.observe (tel ()) queue_wait_metric queue_wait_us;
       let status =
@@ -375,8 +383,14 @@ let handle_submit d oc s =
         submitted_at = Unix.gettimeofday ();
       }
     in
+    (* The job's lock is held from the push until [Accepted] is
+       written, and the worker takes it before its first write: so
+       [Accepted] is always the first line a client reads and never
+       shares a line with a row. *)
+    Mutex.lock job.lock;
     match Jobq.push d.queue job with
     | Error (`Queue_full | `Closed) ->
+      Mutex.unlock job.lock;
       (* A closing daemon has no capacity either: same typed error. *)
       Mt_telemetry.incr (tel ()) "serve.rejected.queue_full";
       Protocol.send_response oc (Protocol.Rejected Protocol.Queue_full)
@@ -387,9 +401,14 @@ let handle_submit d oc s =
           ("job", Mt_obsv.Json.Num (float_of_int job.id));
           ("queue_depth", Mt_obsv.Json.Num (float_of_int (Jobq.depth d.queue)));
         ];
-      Protocol.send_response oc
-        (Protocol.Accepted { job = job.id; queue_depth = Jobq.depth d.queue });
-      Mutex.lock job.lock;
+      (* A client that already hung up still owns its queued job: wait
+         for it all the same, so the socket stays open until the worker
+         is done with it and its writes cannot land on a reused
+         descriptor. *)
+      (try
+         Protocol.send_response oc
+           (Protocol.Accepted { job = job.id; queue_depth = Jobq.depth d.queue })
+       with Sys_error _ -> ());
       while not job.done_ do
         Condition.wait job.finished job.lock
       done;
@@ -464,6 +483,10 @@ let create config =
   }
 
 let serve d =
+  (* A client that hangs up must cost only its own job: a write to its
+     socket then fails with EPIPE, which the handlers catch, instead of
+     the signal killing the daemon. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let workers =
     List.init
       (max 1 d.config.workers)

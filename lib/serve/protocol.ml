@@ -133,18 +133,17 @@ let config_into_base run (base : Run_config.t) =
       ~backoff_jitter:run.backoff_jitter ~backoff_seed:run.backoff_seed
       ?wall_budget_s:run.wall_budget_s ?sim_budget:run.sim_budget ()
   in
-  base
-  |> Run_config.with_seed run.seed
-  |> Run_config.with_adaptive run.adaptive
-  |> Run_config.with_policy policy
-  |> Run_config.with_faults run.faults
-  |> Run_config.with_profile run.profile
-  (* A submitted plan wins; a plan-less submission keeps whatever plan
-     the daemon itself was started with. *)
-  |> fun cfg ->
-  match run.plan with
-  | None -> cfg
-  | Some _ -> Run_config.with_plan run.plan cfg
+  {
+    base with
+    Run_config.seed = run.seed;
+    adaptive = run.adaptive;
+    policy;
+    faults = run.faults;
+    profile = run.profile;
+    (* A submitted plan wins; a plan-less submission keeps whatever plan
+       the daemon itself was started with. *)
+    plan = (match run.plan with None -> base.Run_config.plan | Some _ -> run.plan);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)

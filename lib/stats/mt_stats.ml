@@ -437,3 +437,249 @@ module Csv = struct
         List.iter (add_row t) data;
         Ok t)
 end
+
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list
+
+  (* ------------------------------------------------------------------ *)
+  (* Printing                                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  let escape str =
+    let b = Buffer.create (String.length str + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      str;
+    Buffer.contents b
+
+  (* Shortest decimal form that parses back to the same float: snapshots
+     must round-trip exactly (save → load → diff is empty). *)
+  let float_str f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else begin
+      let s = Printf.sprintf "%.15g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    end
+
+  let rec write b ~indent ~level v =
+    let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
+    let newline () = if indent then Buffer.add_char b '\n' in
+    match v with
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (if x then "true" else "false")
+    | Num x ->
+      if Float.is_nan x || Float.is_integer (x /. 0.) then Buffer.add_string b "null"
+      else Buffer.add_string b (float_str x)
+    | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (escape s);
+      Buffer.add_char b '"'
+    | List [] -> Buffer.add_string b "[]"
+    | List xs ->
+      Buffer.add_char b '[';
+      newline ();
+      List.iteri
+        (fun i x ->
+          if i > 0 then begin
+            Buffer.add_char b ',';
+            newline ()
+          end;
+          pad (level + 1);
+          write b ~indent ~level:(level + 1) x)
+        xs;
+      newline ();
+      pad level;
+      Buffer.add_char b ']'
+    | Obj [] -> Buffer.add_string b "{}"
+    | Obj members ->
+      Buffer.add_char b '{';
+      newline ();
+      List.iteri
+        (fun i (k, x) ->
+          if i > 0 then begin
+            Buffer.add_char b ',';
+            newline ()
+          end;
+          pad (level + 1);
+          Buffer.add_char b '"';
+          Buffer.add_string b (escape k);
+          Buffer.add_string b "\":";
+          if indent then Buffer.add_char b ' ';
+          write b ~indent ~level:(level + 1) x)
+        members;
+      newline ();
+      pad level;
+      Buffer.add_char b '}'
+
+  let to_string ?(indent = false) v =
+    let b = Buffer.create 1024 in
+    write b ~indent ~level:0 v;
+    if indent then Buffer.add_char b '\n';
+    Buffer.contents b
+
+  (* ------------------------------------------------------------------ *)
+  (* Parsing                                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  exception Parse_error of int * string
+
+  let fail i fmt = Printf.ksprintf (fun msg -> raise (Parse_error (i, msg))) fmt
+
+  let utf8_of_code b code =
+    if code < 0x80 then Buffer.add_char b (Char.chr code)
+    else if code < 0x800 then begin
+      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+    end
+    else begin
+      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+    end
+
+  let of_string s =
+    let n = String.length s in
+    let rec ws i =
+      if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t' || s.[i] = '\r')
+      then ws (i + 1)
+      else i
+    in
+    let lit word v i =
+      let l = String.length word in
+      if i + l <= n && String.sub s i l = word then (v, i + l)
+      else fail i "expected %s" word
+    in
+    let number i =
+      let j = ref i in
+      if !j < n && s.[!j] = '-' then Stdlib.incr j;
+      let digit c = c >= '0' && c <= '9' in
+      while
+        !j < n
+        && (digit s.[!j] || s.[!j] = '.' || s.[!j] = 'e' || s.[!j] = 'E'
+           || s.[!j] = '+' || s.[!j] = '-')
+      do
+        Stdlib.incr j
+      done;
+      if !j = i then fail i "expected a number";
+      match float_of_string_opt (String.sub s i (!j - i)) with
+      | Some v -> (Num v, !j)
+      | None -> fail i "malformed number %s" (String.sub s i (!j - i))
+    in
+    let string_lit i =
+      let b = Buffer.create 16 in
+      let rec go i =
+        if i >= n then fail i "unterminated string"
+        else
+          match s.[i] with
+          | '"' -> (Buffer.contents b, i + 1)
+          | '\\' ->
+            if i + 1 >= n then fail i "truncated escape"
+            else (
+              match s.[i + 1] with
+              | '"' -> Buffer.add_char b '"'; go (i + 2)
+              | '\\' -> Buffer.add_char b '\\'; go (i + 2)
+              | '/' -> Buffer.add_char b '/'; go (i + 2)
+              | 'b' -> Buffer.add_char b '\b'; go (i + 2)
+              | 'f' -> Buffer.add_char b '\012'; go (i + 2)
+              | 'n' -> Buffer.add_char b '\n'; go (i + 2)
+              | 'r' -> Buffer.add_char b '\r'; go (i + 2)
+              | 't' -> Buffer.add_char b '\t'; go (i + 2)
+              | 'u' ->
+                if i + 5 >= n then fail i "truncated \\u escape"
+                else begin
+                  (match int_of_string_opt ("0x" ^ String.sub s (i + 2) 4) with
+                  | Some code -> utf8_of_code b code
+                  | None -> fail i "malformed \\u escape");
+                  go (i + 6)
+                end
+              | c -> fail i "unknown escape \\%c" c)
+          | c when Char.code c < 0x20 -> fail i "raw control byte in string"
+          | c ->
+            Buffer.add_char b c;
+            go (i + 1)
+      in
+      go i
+    in
+    let rec value i =
+      let i = ws i in
+      if i >= n then fail i "unexpected end of input"
+      else
+        match s.[i] with
+        | '{' -> obj (ws (i + 1)) []
+        | '[' -> arr (ws (i + 1)) []
+        | '"' ->
+          let str, j = string_lit (i + 1) in
+          (Str str, j)
+        | 't' -> lit "true" (Bool true) i
+        | 'f' -> lit "false" (Bool false) i
+        | 'n' -> lit "null" Null i
+        | '-' | '0' .. '9' -> number i
+        | c -> fail i "unexpected character %C" c
+    and obj i acc =
+      (* the early '}' applies only to "{}" — after a comma a member is
+         required, so "{"a":1,}" is rejected *)
+      if acc = [] && i < n && s.[i] = '}' then (Obj [], i + 1)
+      else begin
+        let i = ws i in
+        if i >= n || s.[i] <> '"' then fail i "expected an object key";
+        let key, i = string_lit (i + 1) in
+        let i = ws i in
+        if i >= n || s.[i] <> ':' then fail i "expected ':'";
+        let v, i = value (i + 1) in
+        let i = ws i in
+        if i < n && s.[i] = ',' then obj (ws (i + 1)) ((key, v) :: acc)
+        else if i < n && s.[i] = '}' then (Obj (List.rev ((key, v) :: acc)), i + 1)
+        else fail i "expected ',' or '}'"
+      end
+    and arr i acc =
+      if acc = [] && i < n && s.[i] = ']' then (List [], i + 1)
+      else begin
+        let v, i = value i in
+        let i = ws i in
+        if i < n && s.[i] = ',' then arr (ws (i + 1)) (v :: acc)
+        else if i < n && s.[i] = ']' then (List (List.rev (v :: acc)), i + 1)
+        else fail i "expected ',' or ']'"
+      end
+    in
+    match value 0 with
+    | v, i ->
+      let i = ws i in
+      if i <> n then Error (Printf.sprintf "trailing bytes at offset %d" i) else Ok v
+    | exception Parse_error (i, msg) ->
+      Error (Printf.sprintf "offset %d: %s" i msg)
+
+  (* ------------------------------------------------------------------ *)
+  (* Accessors                                                           *)
+  (* ------------------------------------------------------------------ *)
+
+  let member key = function Obj ms -> List.assoc_opt key ms | _ -> None
+
+  let to_float = function Num v -> Some v | _ -> None
+
+  let to_int = function
+    | Num v when Float.is_integer v -> Some (int_of_float v)
+    | _ -> None
+
+  let to_str = function Str v -> Some v | _ -> None
+
+  let to_bool = function Bool v -> Some v | _ -> None
+
+  let to_list = function List v -> Some v | _ -> None
+
+  let to_obj = function Obj v -> Some v | _ -> None
+end

@@ -193,3 +193,46 @@ module Csv : sig
       must match its width.  [of_string (to_string t)] round-trips
       header and rows exactly. *)
 end
+
+(** {1 JSON} *)
+
+(** A minimal JSON tree, printer and parser — the one codec behind
+    snapshots, reports, plans, the serve wire format and Chrome traces,
+    with no external dependency.
+    Numbers are floats (like JSON itself); {!to_string} prints them in
+    the shortest form that parses back to the same value, so documents
+    round-trip exactly. *)
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list
+
+  val to_string : ?indent:bool -> t -> string
+  (** Render; [indent] pretty-prints with two-space indentation (and a
+      trailing newline) for committed snapshot files.  NaN and infinite
+      numbers render as [null] (JSON has no spelling for them). *)
+
+  val of_string : string -> (t, string) result
+  (** Parse a complete document; the error names the byte offset. *)
+
+  (** {1 Accessors} ([None] on shape mismatch) *)
+
+  val member : string -> t -> t option
+
+  val to_float : t -> float option
+
+  val to_int : t -> int option
+  (** Integral numbers only. *)
+
+  val to_str : t -> string option
+
+  val to_bool : t -> bool option
+
+  val to_list : t -> t list option
+
+  val to_obj : t -> (string * t) list option
+end

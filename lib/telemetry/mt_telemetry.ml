@@ -225,64 +225,46 @@ let samples t =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape str =
-  let b = Buffer.create (String.length str + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    str;
-  Buffer.contents b
-
 let chrome_trace t =
+  let module J = Mt_stats.Json in
+  let pid = J.Num (float_of_int (Unix.getpid ())) in
+  (* Times keep three decimals: parsed back, each is exactly the value
+     ["%.3f"] prints. *)
+  let us x = J.Num (float_of_string (Printf.sprintf "%.3f" x)) in
+  let head name ph tid ts =
+    [
+      ("name", J.Str name);
+      ("cat", J.Str "microtools");
+      ("ph", J.Str ph);
+      ("pid", pid);
+      ("tid", J.Num (float_of_int tid));
+      ("ts", us ts);
+    ]
+  in
   let b = Buffer.create 4096 in
-  let pid = Unix.getpid () in
   let sep = ref false in
-  let next () = if !sep then Buffer.add_char b ',' else sep := true in
+  let add event =
+    if !sep then Buffer.add_char b ',' else sep := true;
+    Buffer.add_string b (J.to_string (J.Obj event))
+  in
   Buffer.add_string b "{\"traceEvents\":[";
   List.iter
     (fun e ->
-      next ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"microtools\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-           (json_escape e.name) pid e.tid e.start_us e.dur_us);
-      (match e.args with
-      | [] -> ()
-      | args ->
-        Buffer.add_string b ",\"args\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-          args;
-        Buffer.add_char b '}');
-      Buffer.add_char b '}')
+      add
+        (head e.name "X" e.tid e.start_us
+        @ ("dur", us e.dur_us)
+          ::
+          (match e.args with
+          | [] -> []
+          | args -> [ ("args", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) args)) ])))
     (events t);
   (* Counter samples become Chrome "C" events: one track per series
      name, one stacked sub-series per value key. *)
   List.iter
     (fun p ->
-      next ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"microtools\",\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"args\":{"
-           (json_escape p.series_name) pid p.sample_tid p.ts_us);
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%.6g" (json_escape k) v))
-        p.values;
-      Buffer.add_string b "}}")
+      add
+        (head p.series_name "C" p.sample_tid p.ts_us
+        @ [ ("args", J.Obj (List.map (fun (k, v) -> (k, J.Num v)) p.values)) ]))
     (samples t);
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents b

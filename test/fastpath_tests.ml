@@ -372,34 +372,6 @@ let test_drain_clears_split_flag () =
   Memory.drain m;
   check_bool "drain clears the split flag" false (Memory.last_access_was_split m)
 
-(* ------------------------------------------------------------------ *)
-(* access_batch                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let check_batch_equiv ~what ~addr ~stride ~count ~bytes ~write =
-  let ma = Memory.create cfg in
-  let mb = Memory.create cfg in
-  let batched =
-    Memory.access_batch ma ~now:0. ~addr ~stride ~count ~bytes ~write
-  in
-  let folded = ref 0. in
-  for k = 0 to count - 1 do
-    folded := Memory.access mb ~now:0. ~addr:(addr + (k * stride)) ~bytes ~write
-  done;
-  Alcotest.(check (float 0.)) (what ^ ": ready time") !folded batched;
-  check_bool
-    (what ^ ": counters")
-    true
-    (Memory.counters ma = Memory.counters mb)
-
-let test_access_batch_matches_fold () =
-  check_batch_equiv ~what:"dense read" ~addr:(1 lsl 22) ~stride:8 ~count:512
-    ~bytes:8 ~write:false;
-  check_batch_equiv ~what:"page-crossing write" ~addr:((1 lsl 22) + 32)
-    ~stride:128 ~count:200 ~bytes:16 ~write:true;
-  check_batch_equiv ~what:"line splits" ~addr:((1 lsl 22) + 60) ~stride:64
-    ~count:64 ~bytes:8 ~write:false
-
 let tests =
   [
     Alcotest.test_case "equiv: alu loop" `Quick test_equiv_alu_loop;
@@ -420,6 +392,4 @@ let tests =
       test_reset_clears_split_flag;
     Alcotest.test_case "drain clears split flag" `Quick
       test_drain_clears_split_flag;
-    Alcotest.test_case "access_batch matches folded access" `Quick
-      test_access_batch_matches_fold;
   ]

@@ -467,39 +467,6 @@ let test_traceview_limit () =
   check_bool "no footer under the limit" false
     (Telemetry_tests.contains (Traceview.render view) "dropped")
 
-let test_cache_access_hook () =
-  let geom = { Config.size_bytes = 256; associativity = 2; line_bytes = 64 } in
-  let cache = Cache.create geom in
-  let log = ref [] in
-  Cache.set_on_access cache (Some (fun ~hit -> log := hit :: !log));
-  ignore (Cache.access cache 0);
-  ignore (Cache.access cache 0);
-  check_bool "miss then hit" true (List.rev !log = [ false; true ]);
-  (* probe is a pure lookup: no event *)
-  ignore (Cache.probe cache 0);
-  check_int "probe fires nothing" 2 (List.length !log);
-  Cache.set_on_access cache None;
-  ignore (Cache.access cache 4096);
-  check_int "cleared hook fires nothing" 2 (List.length !log)
-
-let test_memory_access_hook () =
-  let memory = Memory.create x5650 in
-  let log = ref [] in
-  Memory.set_access_hook memory
-    (Some (fun level ~hit -> log := (level, hit) :: !log));
-  (* Cold address: misses every level on the way to RAM. *)
-  ignore (Memory.access memory ~now:0. ~addr:0 ~bytes:8 ~write:false);
-  check_bool "cold load misses L1/L2/L3" true
-    (List.rev !log
-    = [ (Memory.L1, false); (Memory.L2, false); (Memory.L3, false) ]);
-  log := [];
-  ignore (Memory.access memory ~now:100. ~addr:0 ~bytes:8 ~write:false);
-  check_bool "warm load hits L1" true (List.rev !log = [ (Memory.L1, true) ]);
-  Memory.set_access_hook memory None;
-  log := [];
-  ignore (Memory.access memory ~now:200. ~addr:8192 ~bytes:8 ~write:false);
-  check_bool "cleared hook is silent" true (!log = [])
-
 let test_noise_amplitude_bound () =
   let n = Noise.create ~seed:5 Noise.stable_env in
   let amp = Noise.relative_amplitude Noise.stable_env in
@@ -557,6 +524,4 @@ let tests =
     Alcotest.test_case "noise amplitude bound" `Quick test_noise_amplitude_bound;
     Alcotest.test_case "traceview collects and renders" `Quick test_traceview_collects_and_renders;
     Alcotest.test_case "traceview limit" `Quick test_traceview_limit;
-    Alcotest.test_case "cache access hook" `Quick test_cache_access_hook;
-    Alcotest.test_case "memory access hook" `Quick test_memory_access_hook;
   ]

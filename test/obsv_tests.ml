@@ -383,34 +383,117 @@ let launch_small () =
   | Ok r -> r
   | Error msg -> Alcotest.fail msg
 
+(* What a Perfetto user opens: the exported document itself. *)
 let test_sampled_lanes_emit_chrome_trace () =
   with_lanes Mt_telemetry.Sampled (fun tel ->
       ignore (launch_small ());
+      let json = Mt_telemetry.chrome_trace tel in
+      Telemetry_tests.validate_json json;
+      let events =
+        match Result.map (Json.member "traceEvents") (Json.of_string json) with
+        | Ok (Some (Json.List events)) -> events
+        | _ -> Alcotest.fail "no traceEvents array"
+      in
+      let field key e = Json.member key e in
+      let phase ph e = field "ph" e = Some (Json.Str ph) in
       let insn_spans =
         List.filter
-          (fun e -> List.mem_assoc "pc" e.Mt_telemetry.args)
-          (Mt_telemetry.events tel)
+          (fun e ->
+            phase "X" e && Option.bind (field "args" e) (Json.member "pc") <> None)
+          events
       in
       check_bool "instruction spans recorded" true (insn_spans <> []);
       check_bool "on the simulated-time lane" true
-        (List.for_all (fun e -> e.Mt_telemetry.tid >= 1_000_000) insn_spans);
-      let samples = Mt_telemetry.samples tel in
-      check_bool "cache.L1 series" true
-        (List.exists (fun s -> s.Mt_telemetry.series_name = "cache.L1") samples);
-      check_bool "cache.L3 series" true
-        (List.exists (fun s -> s.Mt_telemetry.series_name = "cache.L3") samples);
-      check_bool "hit/miss values" true
         (List.for_all
-           (fun s ->
-             List.mem_assoc "hit" s.Mt_telemetry.values
-             && List.mem_assoc "miss" s.Mt_telemetry.values)
-           samples);
-      let json = Mt_telemetry.chrome_trace tel in
-      Telemetry_tests.validate_json json;
-      check_bool "counter events in the trace" true
-        (Telemetry_tests.contains json "\"ph\":\"C\"");
-      check_bool "named cache lane" true
-        (Telemetry_tests.contains json "\"cache.L1\""))
+           (fun e ->
+             match Option.bind (field "tid" e) Json.to_int with
+             | Some tid -> tid >= 1_000_000
+             | None -> false)
+           insn_spans);
+      let counters = List.filter (phase "C") events in
+      List.iter
+        (fun lane ->
+          check_bool (lane ^ " series") true
+            (List.exists (fun e -> field "name" e = Some (Json.Str lane)) counters))
+        [ "cache.L1"; "cache.L2"; "cache.L3" ];
+      check_bool "integer hit/miss values" true
+        (List.for_all
+           (fun e ->
+             let value key =
+               Option.bind (Option.bind (field "args" e) (Json.member key)) Json.to_int
+             in
+             value "hit" <> None && value "miss" <> None)
+           counters))
+
+(* Every L1 miss is one L2 lookup and every L2 miss one L3 lookup, so
+   the lanes' counts must chain exactly at each sampled instruction; and
+   they count from the start of the call, so they only grow within it.
+   64 KiB at one access per line is twice the L1: the cold call reaches
+   RAM and the warm call still misses L1 into L2. *)
+let test_lane_values_follow_the_hierarchy () =
+  let variant =
+    List.hd
+      (Mt_creator.Creator.generate
+         (Mt_kernels.Streams.loadstore_spec ~opcode:Mt_isa.Insn.MOVSS
+            ~stride:64 ~unroll:(1, 1) ~swap_after:false ()))
+  in
+  let p =
+    match Source.load (Source.From_variant variant) with
+    | Error msg -> Alcotest.fail msg
+    | Ok (program, abi) -> (
+      match
+        Protocol.prepare
+          { quick_opts with Options.array_bytes = 64 * 1024 }
+          program abi
+      with
+      | Ok p -> p
+      | Error msg -> Alcotest.fail msg)
+  in
+  with_lanes Mt_telemetry.Full (fun tel ->
+      (* One call's lane points, one per instruction (its cache.L1,
+         cache.L2 and cache.L3 samples), each as
+         [| L1 hit; L1 miss; L2 hit; L2 miss; L3 hit; L3 miss |]. *)
+      let call () =
+        let before = List.length (Mt_telemetry.samples tel) in
+        (match Protocol.run_once p with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.fail msg);
+        let rec points = function
+          | [] -> []
+          | l1 :: l2 :: l3 :: rest ->
+            if
+              List.map (fun s -> s.Mt_telemetry.series_name) [ l1; l2; l3 ]
+              <> [ "cache.L1"; "cache.L2"; "cache.L3" ]
+            then Alcotest.fail "lanes out of order";
+            let v s key = int_of_float (List.assoc key s.Mt_telemetry.values) in
+            [| v l1 "hit"; v l1 "miss"; v l2 "hit"; v l2 "miss"; v l3 "hit"; v l3 "miss" |]
+            :: points rest
+          | _ -> Alcotest.fail "incomplete lane triple"
+        in
+        points (List.filteri (fun i _ -> i >= before) (Mt_telemetry.samples tel))
+      in
+      (* Checks one call and returns its last point. *)
+      let check_call = function
+        | [] -> Alcotest.fail "no lane points"
+        | first :: _ as points ->
+          check_bool "L1 misses = L2 lookups" true
+            (List.for_all (fun c -> c.(1) = c.(2) + c.(3)) points);
+          check_bool "L2 misses = L3 lookups" true
+            (List.for_all (fun c -> c.(3) = c.(4) + c.(5)) points);
+          (* The first instruction makes at most one access. *)
+          check_bool "counts start with the call" true (first.(0) + first.(1) <= 1);
+          let rec grows = function
+            | a :: (b :: _ as rest) -> Array.for_all2 ( <= ) a b && grows rest
+            | _ -> true
+          in
+          check_bool "never decreases within a call" true (grows points);
+          List.nth points (List.length points - 1)
+      in
+      let cold = check_call (call ()) in
+      check_bool "cold call reaches RAM" true (cold.(5) > 0);
+      let warm = check_call (call ()) in
+      check_bool "warm call misses L1" true (warm.(1) > 0);
+      check_bool "warm call hits L2" true (warm.(2) > 0))
 
 let test_full_detail_records_every_instruction () =
   let sampled =
@@ -489,6 +572,8 @@ let tests =
       test_exp_table_stat_entries;
     Alcotest.test_case "sampled lanes emit a valid chrome trace" `Quick
       test_sampled_lanes_emit_chrome_trace;
+    Alcotest.test_case "lane values follow the cache hierarchy" `Quick
+      test_lane_values_follow_the_hierarchy;
     Alcotest.test_case "full detail records every instruction" `Quick
       test_full_detail_records_every_instruction;
     Alcotest.test_case "off detail records no lanes" `Quick

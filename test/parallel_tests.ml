@@ -278,7 +278,7 @@ let big_spec =
     ~unroll:(1, 6) ()
 
 let run_config ?cache domains =
-  Microtools.Study.Run_config.(default |> with_domains domains |> with_cache cache)
+  { Microtools.Study.Run_config.default with Microtools.Study.Run_config.domains; cache }
 
 let test_parallel_matches_sequential () =
   let study = Microtools.Study.create big_spec quick_opts in

@@ -285,10 +285,14 @@ let small_spec =
     ~unroll:(1, 3) ()
 
 let config_with ?cache ?(faults = []) ?journal_out ?resume_from () =
-  let open Microtools.Study.Run_config in
-  default |> with_cache cache |> with_faults faults
-  |> with_policy (instant ~retries:0 ())
-  |> with_journal journal_out |> with_resume resume_from
+  {
+    Microtools.Study.Run_config.default with
+    Microtools.Study.Run_config.cache;
+    faults;
+    policy = instant ~retries:0 ();
+    journal_out;
+    resume_from;
+  }
 
 let test_study_fault_quarantines_not_aborts () =
   let study = Microtools.Study.create small_spec quick_opts in
@@ -318,9 +322,10 @@ let test_study_retry_masks_transient_fault () =
   let study = Microtools.Study.create small_spec quick_opts in
   let n = List.length (Microtools.Study.variants study) in
   let config =
-    let open Microtools.Study.Run_config in
-    config_with ~faults:[ Fault.make ~times:1 ~index:0 Fault.Raise ] ()
-    |> with_policy (instant ~retries:1 ())
+    {
+      (config_with ~faults:[ Fault.make ~times:1 ~index:0 Fault.Raise ] ()) with
+      Microtools.Study.Run_config.policy = instant ~retries:1 ();
+    }
   in
   let outcomes = Microtools.Study.run ~config study in
   check_int "no quarantine" 0
@@ -420,9 +425,9 @@ let test_study_quarantine_journals_and_resumes () =
     (List.length (Microtools.Study.quarantined resumed));
   Sys.remove journal
 
-(* Run_config is the only way to shape a run now (run_legacy is gone);
-   with_plan is the newest knob — a plan dropping all but one variant
-   must prune the run without disturbing the survivor's measurement. *)
+(* Run_config is the only way to shape a run; its plan is the newest
+   knob — a plan dropping all but one variant must prune the run
+   without disturbing the survivor's measurement. *)
 let test_run_config_with_plan () =
   let study = Microtools.Study.create small_spec quick_opts in
   let full = Microtools.Study.run ~config:(config_with ()) study in
@@ -464,7 +469,7 @@ let test_run_config_with_plan () =
       }
     in
     let config =
-      Microtools.Study.Run_config.with_plan (Some plan) (config_with ())
+      { (config_with ()) with Microtools.Study.Run_config.plan = Some plan }
     in
     let pruned = Microtools.Study.run ~config study in
     check_int "plan prunes to one variant" 1 (List.length pruned);
@@ -478,6 +483,25 @@ let test_run_config_with_plan () =
           a.Mt_launcher.Report.value = b.Mt_launcher.Report.value
         | _ -> false)
     | _ -> Alcotest.fail "unexpected outcome shape")
+
+(* Figure launches go through the stored run config like a study's, so
+   a 10-instruction sim budget starves every launch of fig12. *)
+let test_experiments_honour_sim_budget () =
+  let config =
+    {
+      Microtools.Study.Run_config.default with
+      Microtools.Study.Run_config.policy =
+        Policy.make ~retries:0 ~backoff_base_s:0. ~sim_budget:10 ();
+    }
+  in
+  Microtools.Experiments.set_run_config config;
+  Fun.protect
+    ~finally:(fun () ->
+      Microtools.Experiments.set_run_config Microtools.Study.Run_config.default)
+    (fun () ->
+      match Microtools.Experiments.run_tables ~quick:true ~config [ "fig12" ] with
+      | [ (_, Microtools.Experiments.Quarantined _) ] -> ()
+      | _ -> Alcotest.fail "fig12 ran past a 10-instruction sim budget")
 
 let tests =
   [
@@ -527,4 +551,6 @@ let tests =
       test_study_quarantine_journals_and_resumes;
     Alcotest.test_case "Run_config with_plan prunes" `Quick
       test_run_config_with_plan;
+    Alcotest.test_case "experiments honour the sim budget" `Quick
+      test_experiments_honour_sim_budget;
   ]

@@ -401,6 +401,57 @@ let test_daemon_concurrent_clients () =
               (Mt_stats.Csv.to_string (Option.get summary.Client.csv)))
         results)
 
+(* Warm jobs stream within microseconds of being queued: each client
+   must still read [Accepted] first and only whole, decodable lines
+   ([Client.submit] fails on a line it cannot decode). *)
+let test_daemon_accepted_first () =
+  with_daemon ~workers:2 (fun ~socket ~daemon:_ ->
+      (match Client.submit ~socket small_submission with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "warm-up: %s" msg);
+      for round = 1 to 10 do
+        let first = Array.make 2 None in
+        let results = Array.make 2 (Error "never ran") in
+        let clients =
+          Array.init 2 (fun i ->
+              Thread.create
+                (fun () ->
+                  results.(i) <-
+                    Client.submit ~socket
+                      ~on_response:(fun r ->
+                        if first.(i) = None then first.(i) <- Some r)
+                      small_submission)
+                ())
+        in
+        Array.iter Thread.join clients;
+        Array.iteri
+          (fun i result ->
+            match result, first.(i) with
+            | Error msg, _ -> Alcotest.failf "round %d client %d: %s" round i msg
+            | Ok _, Some (Protocol.Accepted _) -> ()
+            | Ok _, _ ->
+              Alcotest.failf "round %d client %d: first response not accepted"
+                round i)
+          results
+      done)
+
+(* A client that hangs up right after submitting: the daemon's writes
+   to its socket fail, and must not take the daemon down.  With one
+   worker the follow-up job runs only after the abandoned one. *)
+let test_daemon_survives_hung_up_client () =
+  with_daemon ~workers:1 (fun ~socket ~daemon:_ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let oc = Unix.out_channel_of_descr fd in
+      Protocol.send_request oc (Protocol.Submit small_submission);
+      close_out oc;
+      (match Client.submit ~socket small_submission with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "next job: %s" msg);
+      match Client.ping ~socket with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "ping: %s" msg)
+
 let test_daemon_bad_request () =
   with_daemon (fun ~socket ~daemon:_ ->
       let bad =
@@ -515,6 +566,10 @@ let suite =
     Alcotest.test_case "daemon end to end" `Quick test_daemon_end_to_end;
     Alcotest.test_case "daemon concurrent clients" `Quick
       test_daemon_concurrent_clients;
+    Alcotest.test_case "daemon writes accepted first" `Quick
+      test_daemon_accepted_first;
+    Alcotest.test_case "daemon survives a hung-up client" `Quick
+      test_daemon_survives_hung_up_client;
     Alcotest.test_case "daemon bad request" `Quick test_daemon_bad_request;
     Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
     Alcotest.test_case "daemon metrics endpoint" `Quick

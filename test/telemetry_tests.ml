@@ -6,90 +6,10 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-(* ------------------------------------------------------------------ *)
-(* A tiny JSON syntax checker (the subset Chrome traces use): raises   *)
-(* on the first malformed byte, so a passing run means the whole       *)
-(* document parses.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad_json of int
-
 let validate_json s =
-  let n = String.length s in
-  let rec ws i =
-    if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t' || s.[i] = '\r')
-    then ws (i + 1)
-    else i
-  in
-  let expect c i = if i < n && s.[i] = c then i + 1 else raise (Bad_json i) in
-  let lit word i =
-    let l = String.length word in
-    if i + l <= n && String.sub s i l = word then i + l else raise (Bad_json i)
-  in
-  let number i =
-    let j = ref i in
-    let digit c = c >= '0' && c <= '9' in
-    if !j < n && s.[!j] = '-' then Stdlib.incr j;
-    while
-      !j < n
-      && (digit s.[!j] || s.[!j] = '.' || s.[!j] = 'e' || s.[!j] = 'E'
-         || s.[!j] = '+' || s.[!j] = '-')
-    do
-      Stdlib.incr j
-    done;
-    if !j = i then raise (Bad_json i) else !j
-  in
-  let rec string_lit i =
-    if i >= n then raise (Bad_json i)
-    else
-      match s.[i] with
-      | '"' -> i + 1
-      | '\\' ->
-        if i + 1 >= n then raise (Bad_json i)
-        else (
-          match s.[i + 1] with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> string_lit (i + 2)
-          | 'u' -> if i + 5 < n then string_lit (i + 6) else raise (Bad_json i)
-          | _ -> raise (Bad_json i))
-      | c when Char.code c < 0x20 -> raise (Bad_json i)
-      | _ -> string_lit (i + 1)
-  in
-  let rec value i =
-    let i = ws i in
-    if i >= n then raise (Bad_json i)
-    else
-      match s.[i] with
-      | '{' -> obj (ws (i + 1))
-      | '[' -> arr (ws (i + 1))
-      | '"' -> string_lit (i + 1)
-      | 't' -> lit "true" i
-      | 'f' -> lit "false" i
-      | 'n' -> lit "null" i
-      | '-' | '0' .. '9' -> number i
-      | _ -> raise (Bad_json i)
-  and obj i =
-    if i < n && s.[i] = '}' then i + 1
-    else
-      let rec member i =
-        let i = ws i in
-        let i = expect '"' i in
-        let i = string_lit i in
-        let i = expect ':' (ws i) in
-        let i = ws (value i) in
-        if i < n && s.[i] = ',' then member (i + 1) else expect '}' i
-      in
-      member i
-  and arr i =
-    if i < n && s.[i] = ']' then i + 1
-    else
-      let rec elt i =
-        let i = ws (value i) in
-        if i < n && s.[i] = ',' then elt (i + 1) else expect ']' i
-      in
-      elt i
-  in
-  let i = ws (value 0) in
-  if i <> n then raise (Bad_json i)
+  match Mt_stats.Json.of_string s with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "malformed JSON: %s" msg
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -293,7 +213,7 @@ let test_emit_and_series () =
     ~args:[ ("pc", "3") ]
     ~tid:1_000_000 ~start_us:10. ~dur_us:4.;
   Mt_telemetry.series ~ts_us:14. ~tid:1_000_000 t "cache.L1"
-    [ ("hit", 5.); ("miss", 2.) ];
+    [ ("hit", 1_234_567.); ("miss", 2.) ];
   (match Mt_telemetry.events t with
   | [ e ] ->
     Alcotest.(check string) "explicit name" "movss (%rsi), %xmm0" e.Mt_telemetry.name;
@@ -305,12 +225,14 @@ let test_emit_and_series () =
   | [ s ] ->
     Alcotest.(check string) "series name" "cache.L1" s.Mt_telemetry.series_name;
     Alcotest.(check (float 1e-9)) "series ts" 14. s.Mt_telemetry.ts_us;
-    check_bool "values kept" true (s.Mt_telemetry.values = [ ("hit", 5.); ("miss", 2.) ])
+    check_bool "values kept" true
+      (s.Mt_telemetry.values = [ ("hit", 1_234_567.); ("miss", 2.) ])
   | other -> Alcotest.fail (Printf.sprintf "%d samples" (List.length other)));
   let json = Mt_telemetry.chrome_trace t in
   validate_json json;
   check_bool "counter event" true (contains json "\"ph\":\"C\"");
-  check_bool "counter args numeric" true (contains json "\"hit\":5");
+  (* Counter values print exactly, not rounded to 6 significant digits. *)
+  check_bool "counter args exact" true (contains json "\"hit\":1234567,\"miss\":2");
   (* disabled handle drops both *)
   Mt_telemetry.emit Mt_telemetry.disabled "x" ~start_us:0. ~dur_us:1.;
   Mt_telemetry.series Mt_telemetry.disabled "s" [ ("v", 1.) ];
