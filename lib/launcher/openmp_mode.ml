@@ -1,5 +1,9 @@
 let ( let* ) = Result.bind
 
+(* Chunks partition the iteration space, so a chunk's first iteration
+   names it.  The whole record would not: dynamic and guided dispatch
+   hand a chunk to whichever thread frees up first, rewriting its
+   [thread]. *)
 let rec collect_chunks opts program abi threads = function
   | [] -> Ok []
   | (c : Mt_openmp.chunk) :: rest ->
@@ -9,7 +13,7 @@ let rec collect_chunks opts program abi threads = function
         program abi
     in
     let* tail = collect_chunks opts program abi threads rest in
-    Ok ((c, prepared) :: tail)
+    Ok ((c.Mt_openmp.start_iteration, prepared) :: tail)
 
 let runtime_of opts =
   let threads = opts.Options.openmp_threads in
@@ -37,27 +41,33 @@ let setup opts program abi =
     Ok (rt, total, prepared_chunks)
   end
 
+(* Warm each thread's caches once, as the sequential protocol does. *)
+let rec warm = function
+  | [] -> Ok ()
+  | (_, p) :: rest ->
+    let* _ = Protocol.run_once p in
+    warm rest
+
+exception Chunk_failed of string
+
+(* One parallel region; a chunk that fails fails the region. *)
 let one_region cfg rt total prepared_chunks =
   let run_chunk (c : Mt_openmp.chunk) ~sharers:_ =
-    let prepared =
-      List.assoc_opt c
-        (List.map (fun (c', p) -> (c', p)) prepared_chunks)
-    in
-    match prepared with
-    | None -> 0.
-    | Some p -> (
-      match Protocol.run_once p with
-      | Ok outcome -> outcome.Mt_machine.Core.cycles
-      | Error _ -> 0.)
+    match
+      Protocol.run_once (List.assoc c.Mt_openmp.start_iteration prepared_chunks)
+    with
+    | Ok outcome -> outcome.Mt_machine.Core.cycles
+    | Error msg -> raise (Chunk_failed msg)
   in
-  Mt_openmp.parallel_for cfg rt ~total ~run_chunk
+  match Mt_openmp.parallel_for cfg rt ~total ~run_chunk with
+  | cycles -> Ok cycles
+  | exception Chunk_failed msg -> Error msg
 
 let region_cycles opts program abi =
   let* rt, total, prepared_chunks = setup opts program abi in
   let cfg = Options.effective_machine opts in
-  (* Warm each thread's caches once, as the sequential protocol does. *)
-  List.iter (fun (_, p) -> ignore (Protocol.run_once p)) prepared_chunks;
-  Ok (one_region cfg rt total prepared_chunks)
+  let* () = warm prepared_chunks in
+  one_region cfg rt total prepared_chunks
 
 let run opts program abi =
   let* rt, total, prepared_chunks = setup opts program abi in
@@ -65,21 +75,21 @@ let run opts program abi =
   | [] -> Error "OpenMP mode: empty iteration space"
   | (_, first) :: _ ->
     let cfg = Options.effective_machine opts in
-    if opts.Options.warmup then
-      List.iter (fun (_, p) -> ignore (Protocol.run_once p)) prepared_chunks;
+    let* () = if opts.Options.warmup then warm prepared_chunks else Ok () in
     let reps = opts.Options.repetitions in
-    let experiment () =
-      let rec go r acc =
-        if r = 0 then acc
-        else
-          go (r - 1)
-            (acc
-            +. opts.Options.call_overhead_cycles
-            +. one_region cfg rt total prepared_chunks)
-      in
-      go reps 0.
+    let rec experiment r acc =
+      if r = 0 then Ok acc
+      else
+        let* cycles = one_region cfg rt total prepared_chunks in
+        experiment (r - 1) (acc +. opts.Options.call_overhead_cycles +. cycles)
     in
-    let totals = List.init opts.Options.experiments (fun _ -> experiment ()) in
+    let rec experiments e acc =
+      if e = 0 then Ok (List.rev acc)
+      else
+        let* sum = experiment reps 0. in
+        experiments (e - 1) (sum :: acc)
+    in
+    let* totals = experiments opts.Options.experiments [] in
     let report =
       Protocol.report_of_totals
         ~mode:(Printf.sprintf "openmp:%d" opts.Options.openmp_threads)

@@ -22,10 +22,14 @@ type prepared = {
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
 (* Cost of calling an empty kernel on this machine: the baseline the
-   overhead subtraction removes (Fig. 10's "overhead calculation"). *)
-let empty_kernel_cycles cfg =
+   overhead subtraction removes (Fig. 10's "overhead calculation").
+   [prepare] calibrates on the kernel's own, still fresh, pipeline
+   rather than building a second one: the lone [ret] touches no
+   memory, and the drain and counter reset [Core.run] starts with leave
+   a fresh pipeline exactly as it was, so neither this result nor any
+   later call on [memory] changes. *)
+let empty_kernel_cycles cfg memory =
   let empty = [ Insn.Insn (Insn.make Insn.RET []) ] in
-  let memory = Memory.create cfg in
   match Core.run_program cfg memory empty with
   | Ok r -> r.Core.cycles
   | Error _ -> 1.
@@ -94,7 +98,7 @@ let prepare ?sharers ?passes ?(start_pass = 0) ?(noise_salt = 0) opts program ab
             memory;
             noise;
             noise_seed;
-            empty_cycles = empty_kernel_cycles cfg;
+            empty_cycles = empty_kernel_cycles cfg memory;
             attr =
               (if opts.Options.profile then Some (Attribution.create ())
                else None);

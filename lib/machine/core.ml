@@ -326,13 +326,22 @@ let fast_of cp =
    [ports] uops are already booked — younger ready uops slot into the
    holes older stalled uops leave, as a real scheduler does.  The ring
    remembers [window] cycles; bookings never spread wider than the
-   instruction window allows in practice. *)
+   instruction window allows in practice.
+
+   A ring serves many calls and is never cleared.  Each slot is tagged
+   with its cycle plus the call's [base], and [start_call] moves [base]
+   past the highest tag the ring holds, so no slot booked by an earlier
+   call can match.  Within one call every tag is the cycle plus the
+   same constant: slots collide and get overwritten exactly as in a
+   fresh ring.  ([base] grows by one call's cycle count per call;
+   reaching [max_int] would take millennia of simulation.) *)
 module Booker = struct
   type t = {
-    ports : int;
-    window : int;
+    mutable ports : int;
     counts : int array;
-    cycle_of : int array;
+    tag : int array;  (* cycle + base of the booking in the slot *)
+    mutable base : int;
+    mutable top : int;  (* highest tag written *)
   }
 
   let window = 8192
@@ -343,15 +352,22 @@ module Booker = struct
   let mask = window - 1
 
   let create ~ports =
-    { ports; window; counts = Array.make window 0; cycle_of = Array.make window min_int }
+    { ports; counts = Array.make window 0; tag = Array.make window min_int;
+      base = 0; top = -1 }
+
+  let start_call t ~ports =
+    t.ports <- ports;
+    t.base <- t.top + 1
 
   (* [idx] is masked into [0, window), so the ring accesses skip the
      bounds checks. *)
   let rec book t c =
     let idx = c land mask in
-    if Array.unsafe_get t.cycle_of idx <> c then begin
-      Array.unsafe_set t.cycle_of idx c;
-      Array.unsafe_set t.counts idx 0
+    let key = c + t.base in
+    if Array.unsafe_get t.tag idx <> key then begin
+      Array.unsafe_set t.tag idx key;
+      Array.unsafe_set t.counts idx 0;
+      if key > t.top then t.top <- key
     end;
     let n = Array.unsafe_get t.counts idx in
     if n < t.ports then begin
@@ -380,32 +396,37 @@ module Booker = struct
       (book_span t ~start:(int_of_float (Float.ceil time)) ~occupancy)
 end
 
-type port_file = {
-  load : Booker.t;
-  store : Booker.t;
-  alu : Booker.t;
-  fp_add : Booker.t;
-  fp_mul : Booker.t;
-  branch : Booker.t;
-}
+(* A port file: one booker per port class, indexed by [port_index]. *)
+let port_counts (cfg : Config.t) =
+  [| cfg.load_ports; cfg.store_ports; cfg.alu_ports; cfg.fp_add_ports;
+     cfg.fp_mul_ports; cfg.branch_ports |]
 
-let make_ports (cfg : Config.t) =
-  {
-    load = Booker.create ~ports:cfg.load_ports;
-    store = Booker.create ~ports:cfg.store_ports;
-    alu = Booker.create ~ports:cfg.alu_ports;
-    fp_add = Booker.create ~ports:cfg.fp_add_ports;
-    fp_mul = Booker.create ~ports:cfg.fp_mul_ports;
-    branch = Booker.create ~ports:cfg.branch_ports;
-  }
+let make_ports cfg = Array.map (fun ports -> Booker.create ~ports) (port_counts cfg)
 
-let port_booker pf = function
-  | Semantics.Load -> pf.load
-  | Semantics.Store -> pf.store
-  | Semantics.Alu -> pf.alu
-  | Semantics.Fp_add -> pf.fp_add
-  | Semantics.Fp_mul | Semantics.Fp_div -> pf.fp_mul
-  | Semantics.Branch_port -> pf.branch
+(* Port files not in use by any call.  A call pops one and pushes it
+   back when it ends, so the six 8,192-slot rings are built once per
+   concurrent call rather than once per call.  An atomic stack, not
+   per-domain state: [mt_serve]'s workers are threads of one domain and
+   may switch inside a call, and a [?trace] hook may run a whole nested
+   call, so two live calls must never share a file.  A caller that
+   finds the stack empty builds its own; a call that raises drops its
+   file.  Every push conses a fresh cell, so the compare-and-set cannot
+   be fooled by a file that left and came back. *)
+let free_ports : Booker.t array list Atomic.t = Atomic.make []
+
+let rec acquire_ports cfg =
+  match Atomic.get free_ports with
+  | [] -> make_ports cfg
+  | pf :: rest as top ->
+    if Atomic.compare_and_set free_ports top rest then begin
+      Array.iter2 (fun b ports -> Booker.start_call b ~ports) pf (port_counts cfg);
+      pf
+    end
+    else acquire_ports cfg
+
+let rec release_ports pf =
+  let top = Atomic.get free_ports in
+  if not (Atomic.compare_and_set free_ports top (pf :: top)) then release_ports pf
 
 (* The reference interpreter: the original per-instruction loop over
    the decoded array, kept verbatim as the oracle the fast path is
@@ -463,7 +484,7 @@ let run_reference ?(init = []) ?(max_instructions = 50_000_000) ?attr
       let issue = ref !t in
       Array.iter
         (fun p ->
-          let booker = port_booker ports p in
+          let booker = ports.(port_index p) in
           let occupancy =
             if p = Semantics.Fp_div then int_of_float d.latency else 1
           in
@@ -497,10 +518,9 @@ let run_reference ?(init = []) ?(max_instructions = 50_000_000) ?attr
           (* A line-split access replays: it occupies its port for one
              extra slot, so split-heavy streams lose throughput too. *)
           if Memory.last_access_was_split memory then begin
-            let booker =
-              port_booker ports (if d.mem_write then Semantics.Store else Semantics.Load)
-            in
-            ignore (Booker.book_from booker ~time:issue ~occupancy:1)
+            ignore
+              (Booker.book_from ports.(if d.mem_write then 1 else 0) ~time:issue
+                 ~occupancy:1)
           end;
           if data_ready +. d.latency -. 1. > !completion then
             completion := data_ready +. d.latency -. 1.
@@ -652,8 +672,7 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
   let l1_lat_f = float_of_int cfg.l1_latency_cycles in
   let ready = Array.make slot_count 0. in
   let wissue = Array.make slot_count 0. in
-  let pf = make_ports cfg in
-  let bookers = [| pf.load; pf.store; pf.alu; pf.fp_add; pf.fp_mul; pf.branch |] in
+  let bookers = acquire_ports cfg in
   let rob_size = cfg.rob_size in
   let rob = Array.make rob_size 0. in
   let decode_step = 1. /. float_of_int cfg.issue_width in
@@ -719,10 +738,12 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
            let bk = Array.unsafe_get bookers d.f_uport in
            let start = iceil s.s_t in
            let idx = start land Booker.mask in
+           let key = start + bk.Booker.base in
            let slot =
-             if Array.unsafe_get bk.Booker.cycle_of idx <> start then begin
-               Array.unsafe_set bk.Booker.cycle_of idx start;
+             if Array.unsafe_get bk.Booker.tag idx <> key then begin
+               Array.unsafe_set bk.Booker.tag idx key;
                Array.unsafe_set bk.Booker.counts idx 1;
+               if key > bk.Booker.top then bk.Booker.top <- key;
                start
              end
              else begin
@@ -967,6 +988,7 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
          end)
      done
    with Stop_run -> ());
+  release_ports bookers;
   match !err with
   | Some e -> Error e
   | None ->

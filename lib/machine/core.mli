@@ -65,7 +65,12 @@ val run :
     This is the allocation-free basic-block replay engine: addressing,
     port lists and architectural effects are resolved once per program
     (cached on [compiled]) and the steady-state loop allocates no minor
-    words per instruction on the non-memory path.
+    words per instruction on the non-memory path.  A call allocates
+    nothing on the major heap either: its port-booking rings come from
+    a free list shared by all domains and threads, and go back to it
+    when the call returns.  A call in progress never shares its rings,
+    so [run] may be called from a [trace] hook or from several threads
+    at once.
 
     [attr] hooks an {!Attribution} sink: every dynamic instruction's
     binding constraint is recorded into it (same classifications as

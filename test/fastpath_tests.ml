@@ -331,6 +331,101 @@ let test_zero_alloc_off_path () =
        large run %.0f)"
       per_insn small large
 
+let compile_exn program =
+  match Core.compile program with
+  | Ok c -> c
+  | Error e -> Alcotest.fail (Core.error_to_string e)
+
+(* The port-booking rings are arrays far over 256 words, so they would
+   go straight to the major heap where the minor-word test above cannot
+   see them: a steady-state call must take them from the free list. *)
+let test_zero_major_words_per_call () =
+  let compiled =
+    compile_exn (loop [ i Insn.ADD [ Operand.imm 3; Operand.reg (Reg.gpr64 Reg.RBX) ] ])
+  in
+  let memory = Memory.create cfg in
+  let call () = ignore (Core.run ~init:[ (rdi, 50) ] cfg memory compiled) in
+  call ();
+  let calls = 100 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to calls do call () done;
+  let per_call =
+    ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int calls
+  in
+  if per_call >= 1000. then
+    Alcotest.failf "a steady-state call adds %.0f major-heap words" per_call
+
+(* A port-bound loop: 12 independent adds per iteration share the ALU
+   ports, so every booked cycle is saturated and a foreign booking in
+   the rings changes the schedule. *)
+let port_bound_loop =
+  loop
+    (List.map
+       (fun r -> i Insn.ADD [ Operand.imm 1; Operand.reg (Reg.gpr64 r) ])
+       Reg.[ RBX; RCX; RDX; RBP; R8; R9; R10; R11; R12; R13; R14; R15 ])
+
+let test_nested_call_keeps_its_rings () =
+  let compiled = compile_exn port_bound_loop in
+  let outer ?trace () =
+    Core.run ~init:[ (rdi, 1999) ] ?trace cfg (Memory.create cfg) compiled
+  in
+  let seen = ref 0 in
+  (* At the 3,000th instruction, run a whole second call from inside
+     the first one. *)
+  let trace _pc _insn ~issue:_ ~completion:_ =
+    incr seen;
+    if !seen = 3000 then
+      ignore (Core.run ~init:[ (rdi, 1999) ] cfg (Memory.create cfg) compiled)
+  in
+  let plain = outer () in
+  let nested = outer ~trace () in
+  check_bool "the nested call ran" true (!seen > 3000);
+  if nested <> plain then
+    Alcotest.failf "a nested call changed the outer outcome:\n  nested: %s\n  plain:  %s"
+      (show_result nested) (show_result plain)
+
+(* Reused rings across calls that differ in everything the rings see:
+   port counts (the two presets), calls stopped early by a fault or by
+   the fuel limit, and a call that wraps the 8,192-cycle ring followed
+   by a short one. *)
+let test_reused_rings_match_fresh_rings () =
+  let sandy = Config.sandy_bridge_e31240 in
+  let xmm0 = Reg.xmm 0 in
+  let loads =
+    loop
+      [
+        i Insn.MOVSS [ Operand.mem ~base:rsi (); Operand.reg xmm0 ];
+        i Insn.MOVSS [ Operand.mem ~base:rsi ~disp:64 (); Operand.reg (Reg.xmm 1) ];
+        i Insn.ADD [ Operand.imm 4; Operand.reg rsi ];
+      ]
+  in
+  let faulting =
+    (* A loop's worth of bookings, then a misaligned aligned load. *)
+    List.filter (fun x -> x <> i Insn.RET []) port_bound_loop
+    @ [ i Insn.MOVAPS [ Operand.mem ~base:rsi (); Operand.reg xmm0 ]; i Insn.RET [] ]
+  in
+  let forever =
+    [ Insn.Label "L"; i Insn.ADD [ Operand.imm 1; Operand.reg eax ];
+      i Insn.JMP [ Operand.label "L" ] ]
+  in
+  let loads_init = [ (rdi, 299); (rsi, 1 lsl 22) ] in
+  check_equivalent ~what:"loads, nehalem" ~init:loads_init loads;
+  check_equivalent ~what:"loads, sandy bridge" ~machine:sandy ~init:loads_init loads;
+  check_equivalent ~what:"alignment fault, nehalem"
+    ~init:[ (rdi, 99); (rsi, 4100) ] faulting;
+  check_equivalent ~what:"fuel, sandy bridge" ~machine:sandy ~max_instructions:5_000
+    forever;
+  let long_init = [ (rdi, 2999) ] in
+  (match
+     Core.run_reference ~init:long_init cfg (Memory.create cfg)
+       (compile_exn port_bound_loop)
+   with
+  | Ok o -> check_bool "the long call wraps the ring" true (o.Core.cycles > 8192.)
+  | Error e -> Alcotest.fail (Core.error_to_string e));
+  check_equivalent ~what:"long call, nehalem" ~init:long_init port_bound_loop;
+  check_equivalent ~what:"short call after it, sandy bridge" ~machine:sandy
+    ~init:[ (rdi, 20) ] port_bound_loop
+
 (* ------------------------------------------------------------------ *)
 (* Satellite bug regressions                                           *)
 (* ------------------------------------------------------------------ *)
@@ -386,6 +481,12 @@ let tests =
     QCheck_alcotest.to_alcotest prop_random_programs;
     Alcotest.test_case "zero minor words per instruction" `Quick
       test_zero_alloc_off_path;
+    Alcotest.test_case "zero major words per call" `Quick
+      test_zero_major_words_per_call;
+    Alcotest.test_case "nested call keeps its rings" `Quick
+      test_nested_call_keeps_its_rings;
+    Alcotest.test_case "reused rings match fresh rings" `Quick
+      test_reused_rings_match_fresh_rings;
     Alcotest.test_case "prefetches are not demand loads" `Quick
       test_prefetch_not_counted_as_load;
     Alcotest.test_case "reset clears split flag" `Quick

@@ -153,10 +153,10 @@ let test_object_single_function_implicit () =
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let prepare_ok ?sharers ?passes opts v =
+let prepare_ok ?sharers ?passes ?start_pass ?noise_salt opts v =
   match
-    Protocol.prepare ?sharers ?passes opts (Variant.concrete_body v)
-      (Option.get v.Variant.abi)
+    Protocol.prepare ?sharers ?passes ?start_pass ?noise_salt opts
+      (Variant.concrete_body v) (Option.get v.Variant.abi)
   with
   | Ok p -> p
   | Error msg -> Alcotest.fail msg
@@ -375,6 +375,60 @@ let test_openmp_overhead_dominates_tiny_array () =
     | Error msg -> Alcotest.fail msg
   in
   check_bool "fork/join overhead dominates a 16 KiB job" true (omp > seq)
+
+(* Guided dispatch hands chunks to whichever thread frees up first, so
+   a chunk often runs on another thread than its provisional one.  The
+   oracle prepares the chunks as the mode does, warms them, and finds
+   each by its first iteration: every chunk must be simulated. *)
+let test_openmp_guided_simulates_every_chunk () =
+  let opts =
+    {
+      (Options.default Config.sandy_bridge_e31240) with
+      Options.array_bytes = 128 * 1024;
+      openmp_threads = 4;
+      openmp_schedule = Options.Omp_guided;
+      openmp_chunk = Some 64;
+    }
+  in
+  let v = variant_u 2 in
+  let measured =
+    match
+      Openmp_mode.region_cycles opts (Variant.concrete_body v) (Option.get v.Variant.abi)
+    with
+    | Ok cycles -> cycles
+    | Error msg -> Alcotest.fail msg
+  in
+  let rt =
+    { (Mt_openmp.default_runtime ~threads:4) with Mt_openmp.schedule = Mt_openmp.Guided 64 }
+  in
+  let total = Protocol.passes_per_call (prepare_ok opts v) in
+  let prepared =
+    List.map
+      (fun (c : Mt_openmp.chunk) ->
+        let p =
+          prepare_ok ~sharers:4 ~passes:c.iterations ~start_pass:c.start_iteration
+            ~noise_salt:c.thread opts v
+        in
+        ignore (Protocol.run_once p);
+        (c.start_iteration, p))
+      (Mt_openmp.chunks_of rt ~total)
+  in
+  let expected =
+    Mt_openmp.parallel_for (Options.effective_machine opts) rt ~total
+      ~run_chunk:(fun c ~sharers:_ ->
+        match Protocol.run_once (List.assoc c.Mt_openmp.start_iteration prepared) with
+        | Ok o -> o.Core.cycles
+        | Error msg -> Alcotest.fail msg)
+  in
+  Alcotest.(check (float 0.)) "region cycles" expected measured
+
+let test_openmp_chunk_error_fails_launch () =
+  let opts = { quick_opts with Options.max_instructions = 10 } in
+  let launch opts = Launcher.launch opts (Source.From_variant (variant_u 1)) in
+  match launch opts, launch { opts with Options.openmp_threads = 4 } with
+  | Error seq, Error omp -> Alcotest.(check string) "the chunk's own error" seq omp
+  | Ok _, _ -> Alcotest.fail "the sequential launch ran out of fuel silently"
+  | _, Ok r -> Alcotest.failf "OpenMP launch succeeded with value %g" r.Report.value
 
 let test_standalone_fork () =
   let program =
@@ -596,6 +650,10 @@ let tests =
     Alcotest.test_case "openmp mode" `Quick test_openmp_mode;
     Alcotest.test_case "openmp beats sequential (big array)" `Quick test_openmp_beats_sequential_on_big_array;
     Alcotest.test_case "openmp overhead dominates tiny array" `Quick test_openmp_overhead_dominates_tiny_array;
+    Alcotest.test_case "openmp guided simulates every chunk" `Quick
+      test_openmp_guided_simulates_every_chunk;
+    Alcotest.test_case "openmp chunk error fails the launch" `Quick
+      test_openmp_chunk_error_fails_launch;
     Alcotest.test_case "standalone mode" `Quick test_standalone_mode;
     Alcotest.test_case "standalone fork" `Quick test_standalone_fork;
     Alcotest.test_case "run_variants batch" `Quick test_run_variants_batch;

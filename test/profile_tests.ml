@@ -424,6 +424,42 @@ let test_profile_changes_no_numbers () =
     check_int "all categories present" Attribution.categories
       (List.length b.Mt_profile.cats)
 
+(* The whole-study form of the check above: [mt_study
+   descriptions/stencil.xml --array-kb 32] with and without [--profile]
+   writes the same CSV, byte for byte.  Profiled calls take the
+   attribution path through [Core.run], which books on the same reused
+   port-booking rings. *)
+let test_profile_changes_no_study_csv () =
+  let opts =
+    {
+      (Options.default cfg) with
+      Options.array_bytes = 32 * 1024;
+      per = Options.Per_element;
+      repetitions = 2;
+      experiments = 5;
+    }
+  in
+  let study =
+    match
+      Microtools.Study.of_description
+        (read_file (Filename.concat corpus_dir "stencil.xml"))
+        opts
+    with
+    | Ok study -> study
+    | Error msg -> Alcotest.fail msg
+  in
+  let run profile =
+    Microtools.Study.run
+      ~config:{ Microtools.Study.Run_config.default with profile }
+      study
+  in
+  let csv outcomes = Mt_stats.Csv.to_string (Microtools.Study.csv outcomes) in
+  let plain = run false in
+  check_int "every variant measured"
+    (List.length (Microtools.Study.variants study))
+    (List.length (Microtools.Study.successes plain));
+  Alcotest.(check string) "study CSV" (csv plain) (csv (run true))
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot schema 4 and diff localization                             *)
 (* ------------------------------------------------------------------ *)
@@ -525,6 +561,8 @@ let tests =
     Alcotest.test_case "folded stack format" `Quick test_folded_format;
     Alcotest.test_case "--profile changes no numbers" `Quick
       test_profile_changes_no_numbers;
+    Alcotest.test_case "--profile changes no study CSV byte" `Quick
+      test_profile_changes_no_study_csv;
     Alcotest.test_case "snapshot profile round trip" `Quick
       test_snapshot_profile_roundtrip;
     Alcotest.test_case "older schema loads empty profile" `Quick
