@@ -184,12 +184,15 @@ let cache_key opts variant =
       machine_fingerprint opts;
     ]
 
-let cached_launch ?cache opts variant =
-  Mt_parallel.Cache.with_cache cache
-    ~key:(fun () -> cache_key opts variant)
+(* [key] is forced only when there is a cache to look in. *)
+let launch ?cache ~key opts variant =
+  Mt_parallel.Cache.with_cache cache ~key
     (fun () -> Launcher.launch opts (Source.From_variant variant))
     ~encode:(fun result -> Marshal.to_string result [])
     ~decode:(fun data : (Report.t, string) result -> Marshal.from_string data 0)
+
+let cached_launch ?cache opts variant =
+  launch ?cache ~key:(fun () -> cache_key opts variant) opts variant
 
 (* ------------------------------------------------------------------ *)
 (* Supervised, journalled execution                                    *)
@@ -218,6 +221,8 @@ let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
   let options =
     Run_config.plan_options config ~variant_id:(Variant.id variant) options
   in
+  (* The variant's one digest: journal lookup and record, the
+     corrupt-cache fault and the cache lookup all use it. *)
   let key = cache_key options variant in
   match Mt_resilience.Journal.find resumed ~key with
   | Some entry when decode_payload entry.Mt_resilience.Journal.data <> None ->
@@ -250,7 +255,9 @@ let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
           match
             Mt_resilience.Supervisor.supervise ?fault
               ~policy:config.Run_config.policy ~key:(Variant.id variant)
-              (fun () -> cached_launch ?cache:config.Run_config.cache options variant)
+              (fun () ->
+                launch ?cache:config.Run_config.cache ~key:(fun () -> key)
+                  options variant)
           with
           | Mt_resilience.Supervisor.Done (result, attempts) ->
             (result, { attempts; quarantined = None; resumed = false })
@@ -383,12 +390,11 @@ let snapshot ?(tool = "mt_study") t outcomes =
             | None -> []
           in
           Some
-            (Mt_obsv.Snapshot.of_values
+            (Mt_obsv.Snapshot.of_assessment
                ~key:(Variant.id o.variant)
                ~unroll:o.variant.Variant.unroll
                ~unit_label:r.Report.unit_label ~per_label:r.Report.per_label
-               ~thresholds:opts.Options.quality ~seed:opts.Options.quality_seed
-               ~profile r.Report.experiments))
+               ~profile r.Report.summary r.Report.quality))
       outcomes
   in
   Mt_obsv.Snapshot.make ~tool

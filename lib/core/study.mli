@@ -140,6 +140,9 @@ val run : ?config:Run_config.t -> t -> outcome list
     (corrupt-cache faults plant garbage at the variant's cache key
     before launching it).
 
+    Each variant's {!cache_key} is computed once per run and serves
+    the journal, the corrupt-cache fault and the cache lookup.
+
     Checkpointing: with [config.journal_out], every completed variant
     (including quarantined ones) is appended to a crash-safe journal
     keyed by {!cache_key}; with [config.resume_from], variants found in
@@ -169,8 +172,9 @@ val cache_key : Options.t -> Variant.t -> string
 val cached_launch :
   ?cache:Mt_parallel.Cache.t ->
   Options.t -> Variant.t -> (Report.t, string) result
-(** One variant through the launcher, routed through the cache —
-    the primitive {!run} and {!Experiments} share. *)
+(** One variant through the launcher, routed through the cache under
+    its {!cache_key} — {!Experiments}' launch primitive, and the path
+    {!run} takes with the key it has already computed. *)
 
 val successes : outcome list -> (Variant.t * Report.t) list
 
@@ -212,4 +216,10 @@ val snapshot : ?tool:string -> t -> outcome list -> Mt_obsv.Snapshot.t
     summary (keyed by variant id, for {!Mt_obsv.Diff} matching; failed
     variants are counted in [variant_count] but carry no stats), the
     quarantined variant ids (schema 3), and the current global
-    telemetry counters. *)
+    telemetry counters.
+
+    Each variant's stats are its report's own [summary] and [quality]
+    ({!Mt_obsv.Snapshot.of_assessment}); nothing is re-assessed, so the
+    snapshot's verdicts and RCIWs are the CSV's, under the run's
+    [Run_config.seed].  The [options] block still records the study's
+    options, not the run's. *)

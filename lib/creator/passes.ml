@@ -11,26 +11,12 @@ let reg_spec_key = function
   | Spec.Named n -> "named:" ^ n
   | Spec.Xmm_rotation { rmin; rmax } -> Printf.sprintf "xmm:%d:%d" rmin rmax
 
-(* SplitMix64 for the seeded random-selection mode. *)
-let mix state =
-  let z = Int64.add state 0x9E3779B97F4A7C15L in
-  let z' = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z'' = Int64.mul (Int64.logxor z' (Int64.shift_right_logical z' 27)) 0x94D049BB133111EBL in
-  z, Int64.logxor z'' (Int64.shift_right_logical z'' 31)
-
 let sample_choices ~seed ~k xs =
   (* Deterministically keep at most k elements of xs. *)
   if List.length xs <= k then xs
   else begin
-    let state = ref (Int64.of_int (seed lxor 0x5DEECE66)) in
-    let weighted =
-      List.map
-        (fun x ->
-          let s, r = mix !state in
-          state := s;
-          (r, x))
-        xs
-    in
+    let rng = Mt_stats.Splitmix.create (Int64.of_int (seed lxor 0x5DEECE66)) in
+    let weighted = List.map (fun x -> (Mt_stats.Splitmix.next rng, x)) xs in
     let sorted = List.sort (fun (a, _) (b, _) -> Int64.compare a b) weighted in
     let rec take n = function
       | [] -> []

@@ -4,7 +4,7 @@ let stable_env = { pinned = true; interrupts_masked = true; warmed = true }
 
 let hostile_env = { pinned = false; interrupts_masked = false; warmed = false }
 
-type t = { mutable state : int64; amplitude : float }
+type t = { rng : Mt_stats.Splitmix.t; amplitude : float }
 
 let relative_amplitude env =
   let base = 0.002 in
@@ -14,19 +14,13 @@ let relative_amplitude env =
   base
 
 let create ?(seed = 42) env =
-  { state = Int64.of_int (seed lxor 0x9E3779B9); amplitude = relative_amplitude env }
-
-(* SplitMix64: deterministic, no dependence on the global Random state. *)
-let next_unit t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
+  {
+    rng = Mt_stats.Splitmix.create (Int64.of_int (seed lxor 0x9E3779B9));
+    amplitude = relative_amplitude env;
+  }
 
 let perturb t cycles =
   (* Stall fraction in [0, amplitude), squared to bias toward small
      stalls with an occasional larger one — interrupt-like. *)
-  let u = next_unit t in
+  let u = Mt_stats.Splitmix.next_unit t.rng in
   cycles *. (1. +. (t.amplitude *. u *. u))

@@ -44,10 +44,8 @@ type t = {
   counters : (string * int) list;
 }
 
-let of_values ~key ?(unroll = 0) ?(unit_label = "value") ?(per_label = "point")
-    ?thresholds ?seed ?(profile = []) values =
-  let s = Mt_stats.summarize values in
-  let q = Mt_quality.assess ?thresholds ?seed values in
+let of_assessment ~key ?(unroll = 0) ?(unit_label = "value")
+    ?(per_label = "point") ?(profile = []) s q =
   {
     key;
     unroll;
@@ -66,6 +64,10 @@ let of_values ~key ?(unroll = 0) ?(unit_label = "value") ?(per_label = "point")
     verdict = q.Mt_quality.verdict;
     profile;
   }
+
+let of_values ~key ?unroll ?unit_label ?per_label ?profile values =
+  of_assessment ~key ?unroll ?unit_label ?per_label ?profile
+    (Mt_stats.summarize values) (Mt_quality.assess values)
 
 let point_stat ~key value = of_values ~key [| value |]
 

@@ -57,19 +57,35 @@ type t = {
   counters : (string * int) list;  (** telemetry counters at save time *)
 }
 
+val of_assessment :
+  key:string ->
+  ?unroll:int ->
+  ?unit_label:string ->
+  ?per_label:string ->
+  ?profile:(string * float) list ->
+  Mt_stats.summary ->
+  Mt_quality.assessment ->
+  variant_stat
+(** A [variant_stat] from a series' summary and its quality
+    assessment, both already computed: nothing is recomputed, so the
+    stat carries exactly the numbers and verdict it is given.
+    [Microtools.Study.snapshot] passes each launcher report's own
+    [summary] and [quality], so a snapshot's quality block is the one
+    behind the run's CSV verdict. *)
+
 val of_values :
   key:string ->
   ?unroll:int ->
   ?unit_label:string ->
   ?per_label:string ->
-  ?thresholds:Mt_quality.thresholds ->
-  ?seed:int ->
   ?profile:(string * float) list ->
   float array ->
   variant_stat
-(** Summarise raw per-experiment samples into a [variant_stat],
-    including its {!Mt_quality.assess} quality block ([thresholds] and
-    [seed] feed the assessment; defaults as documented there). *)
+(** {!of_assessment} over [Mt_stats.summarize values] and
+    [Mt_quality.assess values] at the default thresholds and seed.
+    For another seed or thresholds, call {!Mt_quality.assess} and
+    {!of_assessment} directly.
+    @raise Invalid_argument on an empty array. *)
 
 val point_stat : key:string -> float -> variant_stat
 (** A single-observation stat (stddev and cov are 0) — used for

@@ -87,22 +87,13 @@ let outlier_count ?(mads = default_thresholds.outlier_mads) xs =
         0 xs
   end
 
-(* SplitMix64, same construction as Mt_machine.Noise: deterministic and
-   independent of the global [Random] state, so an RCIW computed today
-   matches the one in yesterday's snapshot bit for bit. *)
-type rng = { mutable state : int64 }
+(* The bootstrap's own SplitMix64 stream: independent of the global
+   [Random] state, so an RCIW computed today matches the one in
+   yesterday's snapshot bit for bit. *)
+let rng_of_seed seed = Mt_stats.Splitmix.create (Int64.of_int (seed lxor 0x51D7A3C5))
 
-let rng_of_seed seed = { state = Int64.of_int (seed lxor 0x51D7A3C5) }
-
-let next_unit r =
-  r.state <- Int64.add r.state 0x9E3779B97F4A7C15L;
-  let z = r.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
-
-let next_index r n = min (n - 1) (int_of_float (next_unit r *. float_of_int n))
+let next_index r n =
+  min (n - 1) (int_of_float (Mt_stats.Splitmix.next_unit r *. float_of_int n))
 
 let rciw ?(resamples = default_thresholds.resamples)
     ?(confidence = default_thresholds.confidence) ~seed xs =

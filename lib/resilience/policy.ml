@@ -33,31 +33,17 @@ let make ?(retries = default.retries) ?(backoff_base_s = default.backoff_base_s)
     sim_budget;
   }
 
-(* SplitMix64, the same construction as Mt_quality's bootstrap and
-   Mt_machine.Noise: the jitter stream is a pure function of (seed, key,
-   attempt), never the global [Random] state, so a rerun backs off by
-   exactly the same delays. *)
-let splitmix64 state =
-  let state = Int64.add state 0x9E3779B97F4A7C15L in
-  let z = state in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  (state, Int64.logxor z (Int64.shift_right_logical z 31))
-
-(* One uniform draw in [0, 1) from (seed, key, attempt).  The string key
-   is folded through its MD5 digest so similar keys (variant ids differ
-   in one digit) land far apart in the stream. *)
+(* One uniform draw in [0, 1) from (seed, key, attempt), through
+   Mt_stats.Splitmix: the jitter stream is a pure function of its
+   inputs, never the global [Random] state, so a rerun backs off by
+   exactly the same delays.  The string key is folded through its MD5
+   digest so similar keys (variant ids differ in one digit) land far
+   apart in the stream. *)
 let uniform ~seed ~key ~attempt =
   let digest = Digest.string (Printf.sprintf "%d:%s:%d" seed key attempt) in
   let fold acc i = Int64.add (Int64.mul acc 257L) (Int64.of_int (Char.code digest.[i])) in
   let state = List.fold_left fold (Int64.of_int seed) [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
-  let _, bits = splitmix64 state in
-  let mantissa = Int64.to_float (Int64.shift_right_logical bits 11) in
-  mantissa /. 9007199254740992. (* 2^53 *)
+  Mt_stats.Splitmix.next_unit (Mt_stats.Splitmix.create state)
 
 let delay t ~key ~attempt =
   if attempt < 1 then 0.

@@ -3,12 +3,13 @@
    the existing Run_config/Supervisor/Journal engine.
 
    Thread layout: the caller's thread runs the accept loop; each
-   connection gets a short-lived handler thread (it parses and
-   validates the request, enqueues, and waits); a fixed pool of worker
-   threads pulls jobs off the shared queue as they free up — idle
-   workers steal whatever is next, so one slow study never convoys the
-   queue behind a busy worker.  Each job's simulation work still fans
-   out across [Mt_parallel.Pool] domains per the base run config. *)
+   connection gets a short-lived handler thread (it parses the request,
+   builds and validates its study, enqueues it, and waits); a fixed
+   pool of worker threads pulls jobs off the shared queue as they free
+   up and runs each job's study as the handler built it — idle workers
+   steal whatever is next, so one slow study never convoys the queue
+   behind a busy worker.  Each job's simulation work still fans out
+   across [Mt_parallel.Pool] domains per the base run config. *)
 
 (* NB: no [open Mt_launcher] — its [Protocol] (the measurement
    protocol) would shadow this library's wire [Protocol]. *)
@@ -38,7 +39,8 @@ let default_config ?(base = Run_config.default) socket_path =
 
 type job = {
   id : int;
-  submission : Protocol.submission;
+  study : Microtools.Study.t;  (* built and validated by the handler *)
+  run : Protocol.run_options;  (* the submission's wire run options *)
   oc : out_channel;
   lock : Mutex.t;
   finished : Condition.t;
@@ -127,7 +129,8 @@ let options_of_submission (s : Protocol.submission) =
 
 (* Validate as much as possible on the connection thread, before the
    job takes a queue slot: a submission that can never run is a
-   [Bad_request], not a wasted worker dispatch. *)
+   [Bad_request], not a wasted worker dispatch.  The study built here
+   is the one the worker runs, so each submission is parsed once. *)
 let study_of_submission (s : Protocol.submission) =
   match options_of_submission s with
   | Error _ as e -> e
@@ -138,7 +141,7 @@ let study_of_submission (s : Protocol.submission) =
 (* ------------------------------------------------------------------ *)
 
 let job_run_config d job =
-  let config = Protocol.config_into_base job.submission.Protocol.run d.config.base in
+  let config = Protocol.config_into_base job.run d.config.base in
   match d.config.state_dir with
   | None -> config
   | Some dir ->
@@ -170,46 +173,38 @@ let stream_outcomes d job outcomes =
    landed — so a client that reads stats, metrics or the archive the
    moment its submission returns is guaranteed to see its own job. *)
 let execute d job =
-  match study_of_submission job.submission with
-  | Error msg ->
-    (* Validation re-runs here for jobs enqueued through a raw socket
-       client that skipped the handler's early check. *)
+  let config = job_run_config d job in
+  match Microtools.Study.run ~config job.study with
+  | exception e ->
     Atomic.incr d.failed;
     Mt_telemetry.incr (tel ()) "serve.jobs.failed";
-    `Failed msg
-  | Ok study -> (
-    let config = job_run_config d job in
-    match Microtools.Study.run ~config study with
-    | exception e ->
-      Atomic.incr d.failed;
-      Mt_telemetry.incr (tel ()) "serve.jobs.failed";
-      `Failed (Printexc.to_string e)
-    | outcomes ->
-      let quarantined, cache_hit_rate = stream_outcomes d job outcomes in
-      let snap = Microtools.Study.snapshot ~tool:"mt_serve" study outcomes in
-      Protocol.send_response job.oc
-        (Protocol.Snapshot (Mt_obsv.Snapshot.to_json snap));
-      Option.iter
-        (fun path -> try Sys.remove path with Sys_error _ -> ())
-        config.Run_config.journal_out;
-      (* Continuous benchmarking: every completed job lands in the
-         shared archive, so a long-lived daemon accumulates the
-         timeline mt_report --history analyses.  Best-effort — an
-         unwritable archive must not fail the job that just streamed
-         its results. *)
-      Option.iter
-        (fun dir ->
-          match
-            Mt_obsv.History.append
-              ~label:(Printf.sprintf "job-%d" job.id)
-              ~dir snap
-          with
-          | Ok _ -> ()
-          | Error msg -> Printf.eprintf "mt_serve: %s\n%!" msg)
-        d.config.history_dir;
-      Atomic.incr d.completed;
-      Mt_telemetry.incr (tel ()) "serve.jobs.completed";
-      `Completed (quarantined, cache_hit_rate))
+    `Failed (Printexc.to_string e)
+  | outcomes ->
+    let quarantined, cache_hit_rate = stream_outcomes d job outcomes in
+    let snap = Microtools.Study.snapshot ~tool:"mt_serve" job.study outcomes in
+    Protocol.send_response job.oc
+      (Protocol.Snapshot (Mt_obsv.Snapshot.to_json snap));
+    Option.iter
+      (fun path -> try Sys.remove path with Sys_error _ -> ())
+      config.Run_config.journal_out;
+    (* Continuous benchmarking: every completed job lands in the
+       shared archive, so a long-lived daemon accumulates the
+       timeline mt_report --history analyses.  Best-effort — an
+       unwritable archive must not fail the job that just streamed
+       its results. *)
+    Option.iter
+      (fun dir ->
+        match
+          Mt_obsv.History.append
+            ~label:(Printf.sprintf "job-%d" job.id)
+            ~dir snap
+        with
+        | Ok _ -> ()
+        | Error msg -> Printf.eprintf "mt_serve: %s\n%!" msg)
+      d.config.history_dir;
+    Atomic.incr d.completed;
+    Mt_telemetry.incr (tel ()) "serve.jobs.completed";
+    `Completed (quarantined, cache_hit_rate)
 
 let worker d () =
   let rec loop () =
@@ -371,11 +366,12 @@ let handle_submit d oc s =
   | Error msg ->
     Mt_telemetry.incr (tel ()) "serve.rejected.bad_request";
     Protocol.send_response oc (Protocol.Rejected (Protocol.Bad_request msg))
-  | Ok _ -> (
+  | Ok study -> (
     let job =
       {
         id = Atomic.fetch_and_add d.next_id 1;
-        submission = s;
+        study;
+        run = s.Protocol.run;
         oc;
         lock = Mutex.create ();
         finished = Condition.create ();

@@ -683,3 +683,20 @@ module Json = struct
 
   let to_obj = function Obj v -> Some v | _ -> None
 end
+
+module Splitmix = struct
+  type t = { mutable state : int64 }
+
+  let create state = { state }
+
+  (* Inlined so [next_unit] keeps the output unboxed. *)
+  let[@inline] next t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let next_unit t =
+    Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+end

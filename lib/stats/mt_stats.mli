@@ -236,3 +236,26 @@ module Json : sig
 
   val to_obj : t -> (string * t) list option
 end
+
+(** {1 Seeded random numbers} *)
+
+(** SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the one
+    pseudo-random generator behind every seeded stream in the project —
+    the machine's noise model, the quality bootstrap, retry backoff
+    jitter and the creator's random selection.  It never touches the
+    global [Random] state, so a seed gives the same stream on every run
+    and platform.  Each caller salts its own seed into the initial
+    state, so the streams stay independent. *)
+module Splitmix : sig
+  type t
+
+  val create : int64 -> t
+  (** A generator at this state; its first output mixes
+      [state + 0x9E3779B97F4A7C15]. *)
+
+  val next : t -> int64
+  (** Advance the state and return its 64-bit output. *)
+
+  val next_unit : t -> float
+  (** The top 53 bits of {!next}, as a float in [[0, 1)]. *)
+end

@@ -98,7 +98,10 @@ let snap ?(kernel = ("copy", "kh-1")) ?(machine = ("laptop", "mh-1"))
     ?(key = "v0") median =
   let values = Array.init 5 (fun i -> median +. (0.001 *. float_of_int i)) in
   Snapshot.make ~tool:"test" ~created_at:0. ~kernel ~machine ~seed:7
-    [ Snapshot.of_values ~key ~seed:7 values ]
+    [
+      Snapshot.of_assessment ~key (Mt_stats.summarize values)
+        (Mt_quality.assess ~seed:7 values);
+    ]
 
 let append_ok ?label dir s =
   match History.append ?label ~dir s with

@@ -327,14 +327,26 @@ let test_study_snapshot_round_trip () =
   check_bool "options recorded" true
     (List.assoc_opt "experiments" snap.Snapshot.options = Some "2");
   (* A second identical run diffs empty — the simulator is deterministic
-     and the manifest captures everything the measurement depends on. *)
-  let snap' = Microtools.Study.snapshot study (Microtools.Study.run study) in
+     and the manifest captures everything the measurement depends on.
+     It fills a cache dir on the way, which a third run then replays
+     from: the cached reports give the same stats. *)
+  let dir = Parallel_tests.temp_dir () in
+  let run_snapshot cache =
+    let config = Microtools.Study.Run_config.make ~cache () in
+    Microtools.Study.snapshot study (Microtools.Study.run ~config study)
+  in
+  let snap' = run_snapshot (Mt_parallel.Cache.create ~dir ()) in
   let diff = Diff.compare ~baseline:snap snap' in
   check_bool "identical re-run has no regressions" false
     (Diff.has_regressions diff);
   List.iter
     (fun e -> check_bool e.Diff.key true (e.Diff.verdict = Diff.Unchanged))
     diff.Diff.entries;
+  let warm = Mt_parallel.Cache.create ~dir () in
+  let snap'' = run_snapshot warm in
+  check_int "the third run replays every variant" 6 (Mt_parallel.Cache.hits warm);
+  check_bool "a warm-cache re-run has the same stats" true
+    (snap''.Snapshot.variants = snap'.Snapshot.variants);
   (* And the file round-trip preserves it bit-for-bit. *)
   let path = Filename.temp_file "mt_study" ".json" in
   Fun.protect
@@ -343,7 +355,33 @@ let test_study_snapshot_round_trip () =
       Snapshot.save snap path;
       match Snapshot.load path with
       | Error msg -> Alcotest.fail msg
-      | Ok loaded -> check_bool "file round-trip" true (loaded = snap))
+      | Ok loaded -> check_bool "file round-trip" true (loaded = snap));
+  (* The quality block is the launcher report's own, so a run-level
+     seed reaches the snapshot as it reaches the CSV verdict.  Eight
+     experiments leave seven after drop-first, enough for the bootstrap
+     RCIW to depend on the seed (at six, seeds 7 and 42 agree). *)
+  let study =
+    Microtools.Study.create small_spec { quick_opts with Options.experiments = 8 }
+  in
+  let outcomes =
+    Microtools.Study.run ~config:(Microtools.Study.Run_config.make ~seed:7 ()) study
+  in
+  let stats = (Microtools.Study.snapshot study outcomes).Snapshot.variants in
+  check_int "one stat per report" 6 (List.length stats);
+  List.iter2
+    (fun (_, r) (s : Snapshot.variant_stat) ->
+      let q = r.Report.quality in
+      let exact = Alcotest.(check (float 0.)) in
+      exact (s.key ^ " rciw") q.Mt_quality.rciw s.rciw;
+      exact (s.key ^ " cov") q.Mt_quality.cov s.cov;
+      check_int (s.key ^ " outliers") q.Mt_quality.outliers s.outliers;
+      check_bool (s.key ^ " warmup_trend") q.Mt_quality.warmup_trend
+        s.warmup_trend;
+      check_str (s.key ^ " verdict")
+        (Mt_quality.verdict_to_string q.Mt_quality.verdict)
+        (Mt_quality.verdict_to_string s.verdict))
+    (Microtools.Study.successes outcomes)
+    stats
 
 let test_exp_table_stat_entries () =
   let table =

@@ -25,8 +25,8 @@ let temp_dir prefix =
 
 (* One run of the three-variant suite.  Each variant is (median,
    within-run spread): the five values straddle the median evenly, so
-   Snapshot.of_values reports exactly that median and a CoV
-   proportional to spread/median. *)
+   the stat reports exactly that median and a CoV proportional to
+   spread/median. *)
 let run_snapshot variants =
   Snapshot.make ~tool:"test" ~created_at:0. ~kernel:("copy", "kh-1")
     ~machine:("laptop", "mh-1") ~seed:7
@@ -35,7 +35,8 @@ let run_snapshot variants =
          let values =
            Array.init 5 (fun i -> median +. (spread *. float_of_int (i - 2)))
          in
-         Snapshot.of_values ~key ~seed:7 values)
+         Snapshot.of_assessment ~key (Mt_stats.summarize values)
+           (Mt_quality.assess ~seed:7 values))
        variants)
 
 let append_ok dir s =

@@ -275,6 +275,22 @@ let prop_spearman_bounded =
       let rho = S.spearman (take la) (take lb) in
       rho >= -1.0 -. 1e-9 && rho <= 1.0 +. 1e-9)
 
+(* The published SplitMix64 reference outputs for state 0: every seeded
+   stream in the project (noise, bootstrap, backoff, random selection)
+   draws from this one generator. *)
+let test_splitmix_reference () =
+  let rng = S.Splitmix.create 0L in
+  List.iter
+    (fun expected ->
+      Alcotest.(check string) "next" (Printf.sprintf "%016Lx" expected)
+        (Printf.sprintf "%016Lx" (S.Splitmix.next rng)))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ];
+  let rng = S.Splitmix.create 0L in
+  Alcotest.(check (float 0.)) "next_unit is the top 53 bits"
+    (Int64.to_float (Int64.shift_right_logical 0xe220a8397b1dcdafL 11)
+    /. 9007199254740992.)
+    (S.Splitmix.next_unit rng)
+
 let tests =
   [
     Alcotest.test_case "min/max" `Quick test_min_max;
@@ -309,6 +325,8 @@ let tests =
     Alcotest.test_case "spearman monotone" `Quick test_spearman_monotone;
     Alcotest.test_case "spearman ties" `Quick test_spearman_ties_average_rank;
     Alcotest.test_case "spearman degenerate" `Quick test_spearman_degenerate;
+    Alcotest.test_case "splitmix reference sequence" `Quick
+      test_splitmix_reference;
     QCheck_alcotest.to_alcotest prop_spearman_self;
     QCheck_alcotest.to_alcotest prop_spearman_symmetric;
     QCheck_alcotest.to_alcotest prop_spearman_bounded;
