@@ -401,9 +401,9 @@ let run_simspeed ~quick out =
     let names = List.map (fun (n, _, _, _) -> n) rows in
     let snap =
       Mt_obsv.Snapshot.make ~tool:"simspeed"
-        ~kernel:(String.concat "+" names, Mt_parallel.Cache.digest_key names)
+        ~kernel:(String.concat "+" names, Mt_obsv.Snapshot.content_hash names)
         ~machine:
-          ("nehalem_x5650_2s", Mt_parallel.Cache.digest_key [ "nehalem_x5650_2s" ])
+          ("nehalem_x5650_2s", Mt_obsv.Snapshot.content_hash [ "nehalem_x5650_2s" ])
         variants
     in
     Mt_obsv.Snapshot.save snap path;
@@ -446,10 +446,10 @@ let main quick no_bechamel simspeed_out simspeed_only ids (config : Mt_cli.t) =
     in
     let snap =
       Mt_obsv.Snapshot.make ~tool:"bench"
-        ~kernel:(String.concat "+" ids, Mt_parallel.Cache.digest_key ids)
+        ~kernel:(String.concat "+" ids, Mt_obsv.Snapshot.content_hash ids)
         ~machine:
           ( "table1-presets",
-            Mt_parallel.Cache.digest_key
+            Mt_obsv.Snapshot.content_hash
               [ Marshal.to_string Config.presets [] ] )
         ~counters:(Mt_telemetry.counters tel) variants
     in

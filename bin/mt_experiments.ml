@@ -55,10 +55,10 @@ let snapshot_of_tables ids tables =
       tables
   in
   Mt_obsv.Snapshot.make ~tool:"mt_experiments"
-    ~kernel:(String.concat "+" ids, Mt_parallel.Cache.digest_key ids)
+    ~kernel:(String.concat "+" ids, Mt_obsv.Snapshot.content_hash ids)
     ~machine:
       ( "table1-presets",
-        Mt_parallel.Cache.digest_key
+        Mt_obsv.Snapshot.content_hash
           [ Marshal.to_string Mt_machine.Config.presets [] ] )
     ~counters:(Mt_telemetry.counters (Mt_telemetry.global ()))
     variants

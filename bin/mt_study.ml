@@ -7,8 +7,9 @@
    Run-shaping flags (--jobs, --cache-dir, --retries, --inject-fault,
    --journal/--resume, --trace-out, ...) are the shared Mt_cli set.
 
-   Exit codes: 0 success, 1 nothing succeeded, 2 bad machine, 4 partial
-   success (some variants succeeded, some were quarantined). *)
+   Exit codes, the same locally and with --submit: 0 success, 1 nothing
+   succeeded, 2 bad machine, 4 partial success (some variants
+   succeeded, some were quarantined). *)
 
 open Cmdliner
 open Mt_launcher
@@ -87,16 +88,31 @@ let submit_run ~socket input machine machine_file array_kb per repetitions
     Printf.printf "job %d done: %d quarantined, daemon cache hit rate %.1f%%\n"
       summary.Mt_serve.Client.job summary.Mt_serve.Client.quarantined
       (100. *. summary.Mt_serve.Client.cache_hit_rate);
-    if summary.Mt_serve.Client.quarantined > 0 then 4 else 0
+    (* The exit code a local run of the same study gives: only the
+       streamed rows say whether any variant succeeded. *)
+    let succeeded =
+      match summary.Mt_serve.Client.csv with
+      | None -> false
+      | Some doc -> (
+        let header = Mt_stats.Csv.header doc in
+        match List.find_index (String.equal "status") header with
+        | None -> false
+        | Some i ->
+          List.exists
+            (fun row -> List.nth_opt row i = Some "ok")
+            (Mt_stats.Csv.rows doc))
+    in
+    if not succeeded then begin
+      prerr_endline "mt_study: no variant succeeded";
+      1
+    end
+    else if summary.Mt_serve.Client.quarantined > 0 then 4
+    else 0
 
 let run input machine machine_file array_kb per repetitions experiments top
     csv submit config =
-  match submit with
-  | Some socket ->
-    submit_run ~socket input machine machine_file array_kb per repetitions
-      experiments csv config
-  | None ->
-  let tel = Mt_cli.setup config in
+  (* Resolved before choosing local or client mode, so a bad machine
+     exits 2 either way. *)
   let resolved =
     match machine_file with
     | Some path -> Mt_machine.Config_io.of_file path
@@ -108,11 +124,15 @@ let run input machine machine_file array_kb per repetitions experiments top
           (Printf.sprintf "unknown machine %s (known: %s)" machine
              (String.concat ", " (List.map fst Mt_machine.Config.presets))))
   in
-  match resolved with
-  | Error msg ->
+  match (resolved, submit) with
+  | Error msg, _ ->
     Printf.eprintf "mt_study: %s\n" msg;
     2
-  | Ok cfg -> (
+  | Ok _, Some socket ->
+    submit_run ~socket input machine machine_file array_kb per repetitions
+      experiments csv config
+  | Ok cfg, None -> (
+    let tel = Mt_cli.setup config in
     let per =
       match per with
       | "pass" -> Options.Per_pass
@@ -213,7 +233,7 @@ let run input machine machine_file array_kb per repetitions experiments top
          with
         | None, None -> ()
         | snapshot_out, _ ->
-          let snap = Microtools.Study.snapshot study outcomes in
+          let snap = Microtools.Study.snapshot ~config study outcomes in
           (match snapshot_out with
           | Some path ->
             Mt_obsv.Snapshot.save snap path;

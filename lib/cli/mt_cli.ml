@@ -147,8 +147,8 @@ let faults_arg =
           "Deterministically break the K-th unit of work (repeatable): \
            $(i,variant=K:kind) with kind one of $(b,raise), $(b,timeout) \
            or $(b,corrupt-cache-entry), optionally $(i,@N) to fault only \
-           the first N attempts (so a retry succeeds).  Used by tests and \
-           the CI chaos-smoke job.")
+           the first N attempts (so a retry succeeds).  Used by the \
+           resilience tests and test/cram/chaos.t.")
 
 let journal_arg =
   Arg.(

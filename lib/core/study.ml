@@ -371,13 +371,13 @@ let min_per_unroll outcomes =
 
 let spec_fingerprint spec = Marshal.to_string spec []
 
-let kernel_hash t = Mt_parallel.Cache.digest_key [ spec_fingerprint t.spec ]
+let kernel_hash t = Mt_obsv.Snapshot.content_hash [ spec_fingerprint t.spec ]
 
 let machine_hash t =
-  Mt_parallel.Cache.digest_key [ machine_fingerprint t.options ]
+  Mt_obsv.Snapshot.content_hash [ machine_fingerprint t.options ]
 
-let snapshot ?(tool = "mt_study") t outcomes =
-  let opts = t.options in
+let snapshot ?(tool = "mt_study") ?(config = Run_config.default) t outcomes =
+  let opts = Run_config.apply_options config t.options in
   let variants =
     List.filter_map
       (fun o ->

@@ -210,16 +210,17 @@ val kernel_hash : t -> string
 (** Content digest of the kernel description — two studies with the
     same spec hash alike regardless of options. *)
 
-val snapshot : ?tool:string -> t -> outcome list -> Mt_obsv.Snapshot.t
+val snapshot :
+  ?tool:string -> ?config:Run_config.t -> t -> outcome list -> Mt_obsv.Snapshot.t
 (** A run manifest for these outcomes: kernel/machine content hashes,
-    the full option summary, the noise seed, a per-variant statistical
-    summary (keyed by variant id, for {!Mt_obsv.Diff} matching; failed
-    variants are counted in [variant_count] but carry no stats), the
-    quarantined variant ids (schema 3), and the current global
-    telemetry counters.
+    the summary of the options the run used ({!Run_config.apply_options}
+    of [config], default {!Run_config.default}), the noise seed, a
+    per-variant statistical summary (keyed by variant id, for
+    {!Mt_obsv.Diff} matching; failed variants are counted in
+    [variant_count] but carry no stats), the quarantined variant ids
+    (schema 3), and the current global telemetry counters.
 
     Each variant's stats are its report's own [summary] and [quality]
     ({!Mt_obsv.Snapshot.of_assessment}); nothing is re-assessed, so the
     snapshot's verdicts and RCIWs are the CSV's, under the run's
-    [Run_config.seed].  The [options] block still records the study's
-    options, not the run's. *)
+    [Run_config.seed]. *)

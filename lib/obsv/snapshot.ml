@@ -92,6 +92,10 @@ let make ?(tool = "microtools") ?created_at ~kernel:(kernel_name, kernel_hash)
     counters;
   }
 
+(* The cache format's salt when provenance got its own digest, kept so
+   no recorded hash changed. *)
+let content_hash parts = Mt_stats.digest_parts ~salt:"microtools-cache-v3" parts
+
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)

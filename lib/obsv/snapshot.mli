@@ -106,6 +106,12 @@ val make :
 (** [make ~kernel:(name, hash) ~machine:(name, hash) variants] stamps
     [created_at] with the current wall clock unless given. *)
 
+val content_hash : string list -> string
+(** The digest behind [kernel_hash] and [machine_hash]
+    ({!Mt_stats.digest_parts} under a constant salt).  History lineages
+    and plans are keyed by these hashes, so unlike the result cache's
+    keys they never follow a cache-format bump. *)
+
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result

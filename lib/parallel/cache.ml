@@ -48,18 +48,7 @@ let create ?dir ?max_bytes () =
 
 let dir t = t.dir
 
-let digest_key parts =
-  (* Length-prefixing makes the concatenation injective: ["ab"; "c"]
-     and ["a"; "bc"] digest differently. *)
-  let b = Buffer.create 256 in
-  Buffer.add_string b format_version;
-  List.iter
-    (fun part ->
-      Buffer.add_string b (string_of_int (String.length part));
-      Buffer.add_char b ':';
-      Buffer.add_string b part)
-    parts;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let digest_key parts = Mt_stats.digest_parts ~salt:format_version parts
 
 let entry_path dir key = Filename.concat dir (key ^ ".bin")
 

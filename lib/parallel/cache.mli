@@ -51,7 +51,9 @@ val digest_key : string list -> string
 (** Digest a list of key components (order-sensitive, injectively
     concatenated) into a fixed-length hex key.  The digest is salted
     with a cache-format version so stale on-disk entries from older
-    layouts can never be replayed. *)
+    layouts can never be replayed.  For cache keys only: run
+    provenance hashes ([Mt_obsv.Snapshot.content_hash]) must not move
+    when the cache format does. *)
 
 val find : t -> string -> string option
 (** Look a key up, memory first, then disk.  Counts one hit or one

@@ -1,6 +1,7 @@
 (** Deterministic fault injection: a declarative "break the K-th unit
-    of work in this way" that tests and the CI chaos-smoke job use to
-    prove the supervisor degrades gracefully instead of aborting.
+    of work in this way" that the resilience tests and the cram test
+    [test/cram/chaos.t] use to prove the supervisor degrades gracefully
+    instead of aborting.
 
     Faults are injected at the supervision layer, not inside the
     simulator, so an injected run exercises exactly the retry /

@@ -181,7 +181,9 @@ let execute d job =
     `Failed (Printexc.to_string e)
   | outcomes ->
     let quarantined, cache_hit_rate = stream_outcomes d job outcomes in
-    let snap = Microtools.Study.snapshot ~tool:"mt_serve" job.study outcomes in
+    let snap =
+      Microtools.Study.snapshot ~tool:"mt_serve" ~config job.study outcomes
+    in
     Protocol.send_response job.oc
       (Protocol.Snapshot (Mt_obsv.Snapshot.to_json snap));
     Option.iter

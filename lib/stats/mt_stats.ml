@@ -700,3 +700,14 @@ module Splitmix = struct
   let next_unit t =
     Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
 end
+
+let digest_parts ~salt parts =
+  let b = Buffer.create 256 in
+  Buffer.add_string b salt;
+  List.iter
+    (fun part ->
+      Buffer.add_string b (string_of_int (String.length part));
+      Buffer.add_char b ':';
+      Buffer.add_string b part)
+    parts;
+  Digest.to_hex (Digest.string (Buffer.contents b))

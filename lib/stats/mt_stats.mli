@@ -259,3 +259,11 @@ module Splitmix : sig
   val next_unit : t -> float
   (** The top 53 bits of {!next}, as a float in [[0, 1)]. *)
 end
+
+(** {1 Content digests} *)
+
+val digest_parts : salt:string -> string list -> string
+(** The hex MD5 of [salt] followed by each part, length-prefixed so the
+    concatenation is injective: [["ab"; "c"]] and [["a"; "bc"]] digest
+    differently.  The salt names what the digest is for: the result
+    cache folds in its format version, run provenance a constant. *)

@@ -363,10 +363,12 @@ let test_study_snapshot_round_trip () =
   let study =
     Microtools.Study.create small_spec { quick_opts with Options.experiments = 8 }
   in
-  let outcomes =
-    Microtools.Study.run ~config:(Microtools.Study.Run_config.make ~seed:7 ()) study
-  in
-  let stats = (Microtools.Study.snapshot study outcomes).Snapshot.variants in
+  let config = Microtools.Study.Run_config.make ~seed:7 () in
+  let outcomes = Microtools.Study.run ~config study in
+  let snap = Microtools.Study.snapshot ~config study outcomes in
+  check_bool "options record the run's seed" true
+    (List.assoc_opt "quality_seed" snap.Snapshot.options = Some "7");
+  let stats = snap.Snapshot.variants in
   check_int "one stat per report" 6 (List.length stats);
   List.iter2
     (fun (_, r) (s : Snapshot.variant_stat) ->
@@ -382,6 +384,20 @@ let test_study_snapshot_round_trip () =
         (Mt_quality.verdict_to_string s.verdict))
     (Microtools.Study.successes outcomes)
     stats
+
+(* History lineages and plans are keyed by these hashes, so a
+   cache-format bump must not move them. *)
+let test_provenance_hashes_pinned () =
+  let text =
+    Profile_tests.read_file (Filename.concat Profile_tests.corpus_dir "movss_u8.xml")
+  in
+  (match Microtools.Study.of_description text quick_opts with
+  | Error msg -> Alcotest.fail msg
+  | Ok study ->
+    check_str "movss_u8 kernel hash" "52e94b720d0f3ab8e516d3fdb0775765"
+      (Microtools.Study.kernel_hash study));
+  check_str "simspeed machine hash" "5c9224612ab246472693e0ad016a5edf"
+    (Snapshot.content_hash [ "nehalem_x5650_2s" ])
 
 let test_exp_table_stat_entries () =
   let table =
@@ -606,6 +622,8 @@ let tests =
       test_snapshot_verdict_round_trips;
     Alcotest.test_case "study snapshot round-trips and diffs empty" `Quick
       test_study_snapshot_round_trip;
+    Alcotest.test_case "provenance hashes are pinned" `Quick
+      test_provenance_hashes_pinned;
     Alcotest.test_case "exp_table stat entries" `Quick
       test_exp_table_stat_entries;
     Alcotest.test_case "sampled lanes emit a valid chrome trace" `Quick
