@@ -1,12 +1,10 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation on the machine model and prints the measured
-   series next to the paper's expectation, then runs one Bechamel
-   micro-benchmark per experiment over that experiment's core
-   simulation primitive.
+   series next to the paper's expectation.
 
-     dune exec bench/main.exe            full reproduction + bechamel
+     dune exec bench/main.exe            full reproduction
      dune exec bench/main.exe -- --quick reduced sizes (CI smoke)
-     dune exec bench/main.exe -- --no-bechamel
+     dune exec bench/main.exe -- --simspeed-only --simspeed-out FILE
      dune exec bench/main.exe -- fig11 tab02   (subset)
      dune exec bench/main.exe -- --jobs 4      (parallel tables)
      dune exec bench/main.exe -- --cache-dir d --no-cache (result cache)
@@ -18,8 +16,6 @@
    Mt_cli set. *)
 
 open Mt_machine
-open Mt_creator
-open Mt_launcher
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: figure/table reproduction                                   *)
@@ -90,173 +86,7 @@ let run_experiments ~quick ~config ids =
   tables
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Each experiment's core simulation primitive, small enough that
-   Bechamel can sample it repeatedly. *)
-
-let x5650 = Config.nehalem_x5650_2s
-
-let sandy = Config.sandy_bridge_e31240
-
-let x7550 = Config.nehalem_x7550_4s
-
-let matmul_primitive n () =
-  let driver =
-    match Mt_kernels.Matmul.make_driver ~machine:x5650 ~n (`Original 1) with
-    | Ok d -> d
-    | Error msg -> failwith msg
-  in
-  match Mt_kernels.Matmul.sample_run ~rows:1 ~cols:2 driver with
-  | Ok s -> s.Mt_kernels.Matmul.cycles_per_iteration
-  | Error msg -> failwith msg
-
-let stream_variant opcode unroll =
-  match
-    Creator.generate
-      (Mt_kernels.Streams.loadstore_spec ~opcode ~unroll:(unroll, unroll)
-         ~swap_after:false ())
-  with
-  | [ v ] -> v
-  | _ -> failwith "expected one variant"
-
-let launch_primitive ?(machine = x5650) ?(cores = 1) ?(openmp = 0) ?(freq = None)
-    variant () =
-  let opts =
-    {
-      (Options.default machine) with
-      Options.array_bytes = 16 * 1024;
-      repetitions = 1;
-      experiments = 1;
-      cores;
-      openmp_threads = openmp;
-      frequency_ghz = freq;
-    }
-  in
-  match Launcher.launch opts (Source.From_variant variant) with
-  | Ok r -> r.Report.value
-  | Error msg -> failwith msg
-
-let alignment_primitive ~arrays ~cores () =
-  let spec = Mt_kernels.Streams.multi_array_spec ~arrays () in
-  let variant = List.hd (Creator.generate spec) in
-  let opts =
-    {
-      (Options.default x7550) with
-      Options.array_bytes = 16 * 1024;
-      warmup = false;
-      repetitions = 1;
-      experiments = 1;
-      cores;
-      alignments = [ 0; 512; 1024; 1536 ];
-    }
-  in
-  match Launcher.launch opts (Source.From_variant variant) with
-  | Ok r -> r.Report.value
-  | Error msg -> failwith msg
-
-let generation_primitive () =
-  List.length (Creator.generate (Mt_kernels.Streams.loadstore_spec ()))
-
-let preset_primitive () =
-  List.for_all
-    (fun (_, cfg) -> Result.is_ok (Config.validate cfg))
-    Config.presets
-
-let bechamel_tests () =
-  let open Bechamel in
-  let movaps8 = stream_variant Mt_isa.Insn.MOVAPS 8 in
-  let movss4 = stream_variant Mt_isa.Insn.MOVSS 4 in
-  [
-    Test.make ~name:"fig03:matmul-size" (Staged.stage (matmul_primitive 64));
-    Test.make ~name:"fig04:matmul-align" (Staged.stage (matmul_primitive 48));
-    Test.make ~name:"fig05:matmul-unroll" (Staged.stage (matmul_primitive 96));
-    Test.make ~name:"fig11:movaps-stream" (Staged.stage (launch_primitive movaps8));
-    Test.make ~name:"fig12:movss-stream" (Staged.stage (launch_primitive movss4));
-    Test.make ~name:"fig13:freq-sweep"
-      (Staged.stage (launch_primitive ~freq:(Some 1.6) movaps8));
-    Test.make ~name:"fig14:fork-contention"
-      (Staged.stage (launch_primitive ~cores:6 movaps8));
-    Test.make ~name:"fig15:align-8core"
-      (Staged.stage (alignment_primitive ~arrays:4 ~cores:8));
-    Test.make ~name:"fig16:align-32core"
-      (Staged.stage (alignment_primitive ~arrays:4 ~cores:32));
-    Test.make ~name:"fig17:openmp-cached"
-      (Staged.stage (launch_primitive ~machine:sandy ~openmp:4 movss4));
-    Test.make ~name:"fig18:openmp-ram"
-      (Staged.stage (launch_primitive ~machine:sandy ~openmp:4 movaps8));
-    Test.make ~name:"tab01:preset-validate" (Staged.stage preset_primitive);
-    Test.make ~name:"tab02:openmp-vs-seq"
-      (Staged.stage (launch_primitive ~machine:sandy movss4));
-    Test.make ~name:"gen_counts:generate-510" (Staged.stage generation_primitive);
-    Test.make ~name:"ablation:feature-toggle"
-      (Staged.stage (fun () ->
-           let no_prefetch =
-             Config.with_features x5650
-               { x5650.Config.features with Config.prefetcher = false }
-           in
-           Result.is_ok (Config.validate no_prefetch)));
-    Test.make ~name:"parmodes:mode-dispatch"
-      (Staged.stage (fun () ->
-           let opts =
-             { (Options.default sandy) with
-               Options.array_bytes = 16 * 1024; repetitions = 1; experiments = 1;
-               mpi_ranks = 4 }
-           in
-           match Launcher.launch opts (Source.From_variant movss4) with
-           | Ok r -> r.Report.value
-           | Error msg -> failwith msg));
-    Test.make ~name:"energy:accounting"
-      (Staged.stage (fun () ->
-           let opts =
-             { (Options.default sandy) with
-               Options.array_bytes = 16 * 1024; repetitions = 1; experiments = 1 }
-           in
-           let variant = movss4 in
-           match
-             Mt_launcher.Protocol.prepare opts
-               (Mt_creator.Variant.concrete_body variant)
-               (Option.get variant.Mt_creator.Variant.abi)
-           with
-           | Error msg -> failwith msg
-           | Ok p -> (
-             match Mt_launcher.Protocol.run_once p with
-             | Ok o -> Mt_machine.Energy.joules sandy o
-             | Error msg -> failwith msg)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None
-      ~stabilize:false ()
-  in
-  print_endline "=== bechamel: harness-primitive timings (one per experiment) ===";
-  Printf.printf "%-28s %16s %10s\n" "experiment" "ns/run" "r^2";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          let ns = Analyze.OLS.estimates est in
-          let r2 = Analyze.OLS.r_square est in
-          match ns with
-          | Some [ per_run ] ->
-            Printf.printf "%-28s %16.0f %10s\n" name per_run
-              (match r2 with Some r -> Printf.sprintf "%.3f" r | None -> "-")
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        results)
-    (bechamel_tests ());
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: simspeed — simulated instructions per second                *)
+(* Part 2: simspeed — simulated instructions per second                *)
 (* ------------------------------------------------------------------ *)
 
 (* A fixed kernel set exercising the three steady states the fast path
@@ -341,6 +171,8 @@ let best_of_interleaved ~reps f g =
   done;
   (!bf, !bg)
 
+let x5650 = Config.nehalem_x5650_2s
+
 let simspeed_measure ~quick =
   let module R = Mt_isa.Reg in
   List.map
@@ -414,7 +246,7 @@ let run_simspeed ~quick out =
 (* Entry                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let main quick no_bechamel simspeed_out simspeed_only ids (config : Mt_cli.t) =
+let main quick simspeed_out simspeed_only ids (config : Mt_cli.t) =
   if simspeed_only then begin
     run_simspeed ~quick simspeed_out;
     0
@@ -426,7 +258,6 @@ let main quick no_bechamel simspeed_out simspeed_only ids (config : Mt_cli.t) =
   let tables = run_experiments ~quick ~config ids in
   Mt_cli.print_cache_stats config;
   print_newline ();
-  if not no_bechamel then run_bechamel ();
   (match
      ( config.Microtools.Study.Run_config.snapshot_out,
        config.Microtools.Study.Run_config.history_append )
@@ -473,10 +304,6 @@ let () =
     Arg.(value & flag
          & info [ "quick" ] ~doc:"Shrink sizes and sweeps for a fast smoke run.")
   in
-  let no_bechamel_arg =
-    Arg.(value & flag
-         & info [ "no-bechamel" ] ~doc:"Skip the Bechamel primitive timings.")
-  in
   let simspeed_out_arg =
     Arg.(value & opt (some string) None
          & info [ "simspeed-out" ] ~docv:"FILE"
@@ -494,11 +321,11 @@ let () =
          & info [] ~docv:"EXPERIMENT"
              ~doc:"Experiment ids to reproduce (default: all, in paper order).")
   in
-  let doc = "reproduce the paper's evaluation and time its primitives" in
+  let doc = "reproduce the paper's evaluation and time the simulator" in
   let cmd =
     Cmd.v (Cmd.info "bench" ~doc)
       Term.(
-        const main $ quick_arg $ no_bechamel_arg $ simspeed_out_arg
+        const main $ quick_arg $ simspeed_out_arg
         $ simspeed_only_arg $ ids_arg $ Mt_cli.term)
   in
   exit (Cmd.eval' cmd)

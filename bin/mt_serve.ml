@@ -14,20 +14,12 @@
 open Cmdliner
 
 let run socket queue_capacity workers state_dir history_dir log_json config =
-  let tel = Mt_cli.setup config in
   (* A daemon always keeps telemetry on, even without --trace-out /
      --metrics-out: the metrics endpoint and the job-latency quantiles
      in the stats reply and exit banner are its whole observability
      surface, and a handle that only exists when a trace file was
      requested would leave a live daemon blind. *)
-  let tel =
-    if Mt_telemetry.enabled tel then tel
-    else begin
-      let t = Mt_telemetry.create () in
-      Mt_telemetry.set_global t;
-      t
-    end
-  in
+  let tel = Mt_cli.setup ~always:true config in
   let daemon_config =
     {
       Mt_serve.Daemon.socket_path = socket;

@@ -339,13 +339,11 @@ let term =
 
 module Run_config = Microtools.Study.Run_config
 
-let setup (config : t) =
+let setup ?(always = false) (config : t) =
   Mt_telemetry.set_detail config.Run_config.trace_detail;
-  if
-    config.Run_config.trace_out <> None
-    || config.Run_config.metrics_out <> None
-  then begin
-    let tel = Mt_telemetry.create () in
+  let tracing = config.Run_config.trace_out <> None in
+  if always || tracing || config.Run_config.metrics_out <> None then begin
+    let tel = Mt_telemetry.create ~events:tracing () in
     Mt_telemetry.set_global tel;
     tel
   end

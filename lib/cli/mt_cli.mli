@@ -36,11 +36,14 @@ val submit_arg : string option Cmdliner.Term.t
     with a client mode (mt_study) declare it; they turn the parsed
     {!t} into wire options with [Mt_serve.Protocol.run_options_of_config]. *)
 
-val setup : t -> Mt_telemetry.t
+val setup : ?always:bool -> t -> Mt_telemetry.t
 (** Apply [config.trace_detail] and, when [--trace-out] or
-    [--metrics-out] was given, install and return a fresh global
-    telemetry handle ({!Mt_telemetry.disabled} otherwise).  Call once,
-    before any measurement. *)
+    [--metrics-out] was given or [always] (default [false]) is set,
+    install and return a fresh global telemetry handle
+    ({!Mt_telemetry.disabled} otherwise).  The handle keeps span events
+    only when [--trace-out] was given, so a long-lived process that
+    writes no trace holds bounded telemetry.  Call once, before any
+    measurement. *)
 
 val finish : Mt_telemetry.t -> t -> unit
 (** Write the Chrome trace and metrics file requested by [config],

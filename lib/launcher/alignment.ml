@@ -40,7 +40,10 @@ let sweep opts program abi ~configs =
     if opts.Options.cores > 1 then
       Result.map (fun r -> r.Fork_mode.aggregate) (Fork_mode.run opts program abi)
     else
-      Result.bind (Protocol.prepare opts program abi) (Protocol.measure ~mode:"seq")
+      Result.bind (Protocol.prepare opts program abi) (fun prepared ->
+          let report = Protocol.measure ~mode:"seq" prepared in
+          Protocol.recycle prepared;
+          report)
   in
   let rec go acc = function
     | [] -> Ok (List.rev acc)

@@ -9,10 +9,17 @@ let with_csv opts result =
     result
   | (Ok _ | Error _), _ -> result
 
+(* The report copies every counter it needs, so once it exists the
+   pipeline can serve the next variant. *)
+let measure_and_recycle ~mode prepared =
+  let report = Protocol.measure ~mode prepared in
+  Protocol.recycle prepared;
+  report
+
 let run_sequential opts source =
   let* program, abi = Source.load source in
   let* prepared = Protocol.prepare opts program abi in
-  with_csv opts (Protocol.measure ~mode:"seq" prepared)
+  with_csv opts (measure_and_recycle ~mode:"seq" prepared)
 
 let run_fork opts source =
   let* program, abi = Source.load source in
@@ -59,7 +66,7 @@ let run_standalone opts program =
       (Result.map (fun r -> r.Fork_mode.aggregate) (Fork_mode.run opts program abi))
   else begin
     let* prepared = Protocol.prepare opts program abi in
-    with_csv opts (Protocol.measure ~mode:"standalone" prepared)
+    with_csv opts (measure_and_recycle ~mode:"standalone" prepared)
   end
 
 let run_variants opts variants =

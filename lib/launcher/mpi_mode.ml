@@ -16,8 +16,7 @@ let setup opts program abi =
   let ranks = opts.Options.mpi_ranks in
   if ranks < 1 then Error "MPI mode requires mpi_ranks >= 1"
   else begin
-    let* probe = Protocol.prepare opts program abi in
-    let total = Protocol.passes_per_call probe in
+    let total = Protocol.default_passes opts abi in
     let chunk = (total + ranks - 1) / ranks in
     let* prepared = Protocol.prepare ~sharers:ranks ~passes:chunk opts program abi in
     Ok (total, prepared)

@@ -34,8 +34,7 @@ let setup opts program abi =
   else begin
     let rt = runtime_of opts in
     (* The whole iteration space, as loop passes of the kernel. *)
-    let* probe = Protocol.prepare opts program abi in
-    let total = Protocol.passes_per_call probe in
+    let total = Protocol.default_passes opts abi in
     let chunks = Mt_openmp.chunks_of rt ~total in
     let* prepared_chunks = collect_chunks opts program abi threads chunks in
     Ok (rt, total, prepared_chunks)

@@ -34,6 +34,11 @@ let empty_kernel_cycles cfg memory =
   | Ok r -> r.Core.cycles
   | Error _ -> 1.
 
+let default_passes opts abi =
+  match opts.Options.trip_passes with
+  | Some p -> p
+  | None -> Abi.passes_for_bytes abi opts.Options.array_bytes
+
 let prepare ?sharers ?passes ?(start_pass = 0) ?(noise_salt = 0) opts program abi =
   match Options.validate opts with
   | Error msg -> Error msg
@@ -68,10 +73,7 @@ let prepare ?sharers ?passes ?(start_pass = 0) ?(noise_salt = 0) opts program ab
               region.Memmap.base)
         in
         let passes =
-          match passes, opts.Options.trip_passes with
-          | Some p, _ -> p
-          | None, Some p -> p
-          | None, None -> Abi.passes_for_bytes abi opts.Options.array_bytes
+          match passes with Some p -> p | None -> default_passes opts abi
         in
         (* A chunked (OpenMP) thread starts its traversal [start_pass]
            passes into each array. *)
@@ -104,6 +106,8 @@ let prepare ?sharers ?passes ?(start_pass = 0) ?(noise_salt = 0) opts program ab
                else None);
           }
       end)
+
+let recycle p = Memory.recycle p.memory
 
 let passes_per_call p = p.passes
 

@@ -26,6 +26,18 @@ val prepare :
     (OpenMP chunking); [noise_salt] decorrelates the noise of sibling
     processes. *)
 
+val default_passes : Options.t -> Abi.t -> int
+(** The loop passes per call {!prepare} binds when given no [passes]:
+    [opts.trip_passes], else one traversal of an [opts.array_bytes]
+    array. *)
+
+val recycle : prepared -> unit
+(** Offer the kernel's memory pipeline to the next {!prepare} of the
+    same machine and sharer count ({!Mt_machine.Memory.recycle}).
+    Call it only once the report is built, since {!report_of_totals}
+    reads the pipeline's counters.  A recycled [prepared] must not run
+    or report again. *)
+
 val passes_per_call : prepared -> int
 
 val array_bases : prepared -> int list

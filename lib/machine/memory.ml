@@ -88,7 +88,7 @@ let stream_table_size = 16
 (* The hardware streamer does not prefetch across large strides. *)
 let max_prefetch_stride_lines = 4
 
-let create ?(ram_sharers = 1) (cfg : Config.t) =
+let allocate ~ram_sharers (cfg : Config.t) =
   (* The L3 is shared: when several cores stream at once, each one
      effectively owns a capacity slice (we model one core per memory
      pipeline, so the slice approximates the shared-cache pressure of
@@ -197,12 +197,36 @@ let reset t =
   Array.fill t.st_addr 0 stream_table_size min_int;
   t.next_stream <- 0;
   Array.fill t.memo_line 0 memo_size (-1);
+  Array.fill t.memo_stream 0 memo_size 0;
   t.memo_next <- 0;
   Array.fill t.fill_buffers 0 (Array.length t.fill_buffers) 0.;
   t.bandwidth_free <- 0.;
   t.last_level <- L1;
   t.last_split <- false;
   reset_counters t
+
+(* A finished pipeline [create] may hand out again.  Its cache tags are
+   ~217,000 words (1.7 MB, mostly the 12 MiB L3's), allocated straight
+   on the major heap, so a study that built one per variant spent most
+   of its major collections on them.  One slot, emptied whole by
+   [Atomic.exchange], so two domains or daemon threads never get the
+   same pipeline.  It holds the pipeline weakly: a spare nobody asks
+   for in time is collected exactly as the garbage it would otherwise
+   have been, and a spare for one machine never pins memory while a
+   sweep runs another. *)
+let spare : t Weak.t option Atomic.t = Atomic.make None
+
+let recycle t =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some t);
+  Atomic.set spare (Some w)
+
+let create ?(ram_sharers = 1) (cfg : Config.t) =
+  match Option.bind (Atomic.exchange spare None) (fun w -> Weak.get w 0) with
+  | Some t when t.sharers = ram_sharers && t.cfg = cfg ->
+    reset t;
+    t
+  | Some _ | None -> allocate ~ram_sharers cfg
 
 let drain t =
   Array.fill t.fill_buffers 0 (Array.length t.fill_buffers) 0.;

@@ -76,7 +76,21 @@ val create : ?ram_sharers:int -> Config.t -> t
 (** [create cfg] builds a memory pipeline for one core of [cfg].
     [ram_sharers] (default 1) is the number of cores concurrently
     streaming from DRAM; it determines this core's share of controller
-    bandwidth (Fig. 14's contention knee). *)
+    bandwidth (Fig. 14's contention knee).
+
+    The result may be a pipeline handed back with {!recycle}, when it
+    was built for an equal [cfg] and the same [ram_sharers]: it is then
+    {!reset} first, which leaves it indistinguishable from a fresh
+    one. *)
+
+val recycle : t -> unit
+(** Offer a finished pipeline to the next {!create} of the same
+    machine and sharer count.  Call it only after the pipeline's last
+    use, counters included: the pipeline may be reset and handed to
+    another caller, on any domain or thread, as soon as this returns.
+    Only the most recent offer is kept, and only weakly, so a pipeline
+    no [create] takes back is collected as if it had never been
+    offered. *)
 
 val access :
   ?nt:bool -> t -> now:float -> addr:int -> bytes:int -> write:bool -> float
@@ -102,7 +116,9 @@ val counters_to_alist : counters -> (string * int) list
 val reset_counters : t -> unit
 
 val reset : t -> unit
-(** Reset caches, prefetcher, buffers and counters (cold machine). *)
+(** Reset caches, prefetcher, buffers and counters (cold machine): the
+    pipeline then behaves exactly as a fresh {!create} of its machine
+    would. *)
 
 val drain : t -> unit
 (** Complete all in-flight fills and rebase the pipeline clock to 0,

@@ -419,6 +419,7 @@ let handle_connection d fd =
      match Protocol.read_request ic with
      | None -> ()
      | Some (Error msg) ->
+       Mt_telemetry.incr (tel ()) "serve.rejected.bad_request";
        Protocol.send_response oc (Protocol.Rejected (Protocol.Bad_request msg))
      | Some (Ok Protocol.Ping) -> Protocol.send_response oc Protocol.Pong
      | Some (Ok Protocol.Stats) ->

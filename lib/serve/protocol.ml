@@ -584,16 +584,47 @@ let send_request oc r = write_line oc (request_to_json r)
 
 let send_response oc r = write_line oc (response_to_json r)
 
-let read_json ic =
-  match input_line ic with
-  | exception End_of_file -> None
-  | line -> (
-    match J.of_string line with
-    | Ok doc -> Some (Ok doc)
-    | Error msg -> Some (Error msg))
+(* The largest request this repository's clients send is a loadstore
+   submission carrying a plan for its 510 variants: 46,209 bytes. *)
+let max_request_bytes = 4 * 1024 * 1024
+
+(* One request line, read in chunks: a connection carries one request,
+   so whatever the peer sent after its newline is dropped.  A line that
+   outgrows [limit] bytes is an [Error] as soon as the chunk holding its
+   [limit + 1]-th byte arrives, so a peer that never sends a newline
+   cannot grow the buffer without bound. *)
+let input_request_line ic ~limit =
+  let chunk = Bytes.create 4096 in
+  let line = Buffer.create 4096 in
+  let rec go () =
+    match input ic chunk 0 (Bytes.length chunk) with
+    | 0 ->
+      if Buffer.length line = 0 then None else Some (Ok (Buffer.contents line))
+    | n ->
+      (* The chunk's bytes before its newline, or all of them. *)
+      let used = ref 0 in
+      while !used < n && Bytes.get chunk !used <> '\n' do
+        incr used
+      done;
+      if Buffer.length line + !used > limit then
+        Some (Error (Printf.sprintf "request line exceeds %d bytes" limit))
+      else begin
+        Buffer.add_subbytes line chunk 0 !used;
+        if !used < n then Some (Ok (Buffer.contents line)) else go ()
+      end
+  in
+  go ()
+
+let decode_line of_json line =
+  Option.map
+    (fun line -> Result.bind (Result.bind line J.of_string) of_json)
+    line
 
 let read_request ic =
-  Option.map (fun r -> Result.bind r request_of_json) (read_json ic)
+  decode_line request_of_json (input_request_line ic ~limit:max_request_bytes)
 
 let read_response ic =
-  Option.map (fun r -> Result.bind r response_of_json) (read_json ic)
+  decode_line response_of_json
+    (match input_line ic with
+    | line -> Some (Ok line)
+    | exception End_of_file -> None)

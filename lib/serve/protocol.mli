@@ -146,7 +146,13 @@ val send_request : out_channel -> request -> unit
 
 val send_response : out_channel -> response -> unit
 
+val max_request_bytes : int
+(** The longest request line {!read_request} accepts, 4 MiB: far above
+    the 45 KiB of the largest request this repository's clients send. *)
+
 val read_request : in_channel -> (request, string) result option
-(** [None] on a closed peer; [Some (Error _)] on a malformed line. *)
+(** [None] on a closed peer; [Some (Error _)] on a malformed line, or
+    as soon as a line outgrows {!max_request_bytes}.  A connection
+    carries one request: whatever follows its line is dropped. *)
 
 val read_response : in_channel -> (response, string) result option

@@ -25,6 +25,7 @@ type reservoir = { buf : float array; mutable len : int; mutable pos : int }
 let reservoir_capacity = 2048
 
 type state = {
+  keep_events : bool;  (* false: [events] and [samples] stay empty *)
   mutable events : event list;  (* newest first *)
   mutable samples : sample list;  (* newest first *)
   counters : (string, int) Hashtbl.t;
@@ -47,9 +48,10 @@ let disabled : t = None
    used for wall-clock provenance stamps elsewhere. *)
 let mono_us () = Int64.to_float (Monotonic_clock.now ()) /. 1e3
 
-let create () : t =
+let create ?(events = true) () : t =
   Some
     {
+      keep_events = events;
       events = [];
       samples = [];
       counters = Hashtbl.create 64;
@@ -194,26 +196,26 @@ let span ?(args = []) t name f =
           { name; args; tid = (Domain.self () :> int); start_us; dur_us; depth }
         in
         locked s (fun () ->
-            s.events <- e :: s.events;
+            if s.keep_events then s.events <- e :: s.events;
             observe_locked s ("span." ^ name ^ ".us") dur_us))
       f
 
 let emit ?(args = []) ?tid t name ~start_us ~dur_us =
   match t with
-  | None -> ()
-  | Some s ->
+  | Some s when s.keep_events ->
     let tid = match tid with Some tid -> tid | None -> (Domain.self () :> int) in
     let e = { name; args; tid; start_us; dur_us; depth = 0 } in
     locked s (fun () -> s.events <- e :: s.events)
+  | Some _ | None -> ()
 
 let series ?ts_us ?tid t name values =
   match t with
-  | None -> ()
-  | Some s ->
+  | Some s when s.keep_events ->
     let ts_us = match ts_us with Some ts -> ts | None -> now_us s in
     let tid = match tid with Some tid -> tid | None -> (Domain.self () :> int) in
     let p = { series_name = name; sample_tid = tid; ts_us; values } in
     locked s (fun () -> s.samples <- p :: s.samples)
+  | Some _ | None -> ()
 
 let events t =
   match t with None -> [] | Some s -> locked s (fun () -> List.rev s.events)

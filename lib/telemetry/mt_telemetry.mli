@@ -23,8 +23,13 @@ type t
 val disabled : t
 (** The no-op handle: records nothing, exports empty documents. *)
 
-val create : unit -> t
-(** A fresh enabled handle with its own clock epoch. *)
+val create : ?events:bool -> unit -> t
+(** A fresh enabled handle with its own clock epoch.  With [~events:false]
+    it keeps counters and histograms (so {!quantile} and the metrics
+    exports work as usual) but no span events or series samples: a
+    long-lived process that writes no trace file then holds a bounded
+    amount of telemetry however long it runs.  {!span} still times its
+    function and feeds the span histogram. *)
 
 val enabled : t -> bool
 (** [false] exactly for {!disabled}.  Instrumentation sites guard

@@ -467,6 +467,108 @@ let test_drain_clears_split_flag () =
   Memory.drain m;
   check_bool "drain clears the split flag" false (Memory.last_access_was_split m)
 
+(* ------------------------------------------------------------------ *)
+(* Reset and the spare pipeline                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A run of [count] accesses [stride] bytes apart, [gap] cycles apart.
+   Strided runs train the prefetcher and move the memo; the four 1 MiB
+   regions at random page offsets collide modulo 4 KiB (the alias
+   path, with 4 sharers) and walk the TLBs; sizes up to a line at
+   random offsets split lines. *)
+type burst = {
+  base : int;
+  stride : int;
+  count : int;
+  bytes : int;
+  write : bool;
+  nt : bool;
+  gap : int;
+}
+
+let gen_burst =
+  QCheck.Gen.(
+    0 -- 3 >>= fun region ->
+    0 -- 8191 >>= fun offset ->
+    oneofl [ 0; 4; 8; 64; 72; 4096; 4160 ] >>= fun stride ->
+    1 -- 24 >>= fun count ->
+    oneofl [ 1; 4; 8; 16; 32; 64 ] >>= fun bytes ->
+    bool >>= fun write ->
+    frequencyl [ (4, false); (1, true) ] >>= fun nt ->
+    0 -- 12 >|= fun gap ->
+    { base = ((region + 1) lsl 20) + offset; stride; count; bytes; write; nt; gap })
+
+(* What each access of [bursts] observed, from cycle 0, and the final
+   counters. *)
+let replay m bursts =
+  let now = ref 0. in
+  let seen = ref [] in
+  List.iter
+    (fun b ->
+      for k = 0 to b.count - 1 do
+        let ready =
+          Memory.access ~nt:b.nt m ~now:!now ~addr:(b.base + (k * b.stride))
+            ~bytes:b.bytes ~write:b.write
+        in
+        seen :=
+          (ready, Memory.level_of_last_access m, Memory.last_access_was_split m)
+          :: !seen;
+        now := !now +. float_of_int b.gap
+      done)
+    bursts;
+  (List.rev !seen, Memory.counters m)
+
+let prop_reset_is_fresh =
+  let open QCheck in
+  let gen =
+    Gen.(
+      oneofl [ 1; 4 ] >>= fun sharers ->
+      bool >>= fun prefetcher ->
+      bool >>= fun tlb ->
+      list_size (0 -- 6) gen_burst >>= fun history ->
+      list_size (1 -- 6) gen_burst >|= fun stream ->
+      (sharers, prefetcher, tlb, history, stream))
+  in
+  Test.make ~count:100
+    ~name:"memory: reset then a stream = the stream on a fresh pipeline"
+    (make gen) (fun (sharers, prefetcher, tlb, history, stream) ->
+      let machine =
+        { cfg with Config.features = { cfg.Config.features with Config.prefetcher; tlb } }
+      in
+      let m = Memory.create ~ram_sharers:sharers machine in
+      ignore (replay m history);
+      Memory.reset m;
+      (* The first [create] emptied the spare slot, so this pipeline is
+         freshly built. *)
+      let fresh = Memory.create ~ram_sharers:sharers machine in
+      replay m stream = replay fresh stream)
+
+let test_spare_pipeline () =
+  let m = Memory.create cfg in
+  split_access m;
+  Memory.recycle m;
+  let again = Memory.create cfg in
+  check_bool "the same machine takes the spare back" true (again == m);
+  check_bool "taken back equal to a fresh pipeline" true (again = Memory.create cfg);
+  check_bool "a spare is taken once" false (Memory.create cfg == m);
+  Memory.recycle m;
+  check_bool "another sharer count builds its own" false
+    (Memory.create ~ram_sharers:4 cfg == m);
+  Memory.recycle m;
+  check_bool "another machine builds its own" false
+    (Memory.create Config.sandy_bridge_e31240 == m)
+
+let[@inline never] recycle_fresh_pipeline probe =
+  let m = Memory.create cfg in
+  Weak.set probe 0 (Some m);
+  Memory.recycle m
+
+let test_spare_is_weak () =
+  let probe = Weak.create 1 in
+  recycle_fresh_pipeline probe;
+  Gc.full_major ();
+  check_bool "an unclaimed spare is collected" false (Weak.check probe 0)
+
 let tests =
   [
     Alcotest.test_case "equiv: alu loop" `Quick test_equiv_alu_loop;
@@ -493,4 +595,9 @@ let tests =
       test_reset_clears_split_flag;
     Alcotest.test_case "drain clears split flag" `Quick
       test_drain_clears_split_flag;
+    QCheck_alcotest.to_alcotest prop_reset_is_fresh;
+    Alcotest.test_case "spare pipeline only for its own machine" `Quick
+      test_spare_pipeline;
+    Alcotest.test_case "an unclaimed spare is collected" `Quick
+      test_spare_is_weak;
   ]

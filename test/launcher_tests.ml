@@ -430,6 +430,35 @@ let test_openmp_chunk_error_fails_launch () =
   | Ok _, _ -> Alcotest.fail "the sequential launch ran out of fuel silently"
   | _, Ok r -> Alcotest.failf "OpenMP launch succeeded with value %g" r.Report.value
 
+(* OpenMP and MPI set-up report what a sequential prepare reports for
+   invalid options and for a kernel that does not compile. *)
+let test_parallel_setup_errors () =
+  let v = variant_u 1 in
+  let abi = Option.get v.Variant.abi in
+  let broken =
+    Mt_isa.[ Insn.Insn (Insn.make Insn.JMP [ Operand.label "nowhere" ]) ]
+  in
+  List.iter
+    (fun (what, opts, program) ->
+      let expected =
+        match Protocol.prepare opts program abi with
+        | Error msg -> msg
+        | Ok _ -> Alcotest.failf "%s: prepared" what
+      in
+      let check mode = function
+        | Error msg -> Alcotest.(check string) (what ^ ", " ^ mode) expected msg
+        | Ok _ -> Alcotest.failf "%s: the %s launch succeeded" what mode
+      in
+      check "openmp"
+        (Openmp_mode.run { opts with Options.openmp_threads = 4 } program abi);
+      check "mpi" (Mpi_mode.run { opts with Options.mpi_ranks = 4 } program abi))
+    [
+      ( "invalid options",
+        { quick_opts with Options.experiments = 0 },
+        Variant.concrete_body v );
+      ("uncompilable kernel", quick_opts, broken);
+    ]
+
 let test_standalone_fork () =
   let program =
     [
@@ -460,6 +489,30 @@ let test_run_variants_batch () =
   check_int "all measured" (List.length kernel_variants) (List.length outcomes);
   check_bool "all ok" true
     (List.for_all (fun (_, r) -> Result.is_ok r) outcomes)
+
+(* A pipeline's cache tags are ~217,000 words, allocated straight on
+   the major heap: each launch must take the previous variant's
+   pipeline back rather than build its own. *)
+let test_launch_reuses_pipeline () =
+  let variants =
+    Creator.generate
+      (Mt_kernels.Streams.loadstore_spec ~opcode:Mt_isa.Insn.MOVSS ~stride:4
+         ~unroll:(1, 3) ())
+  in
+  let launch v =
+    match Launcher.launch quick_opts (Source.From_variant v) with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  launch (List.hd variants);
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  List.iter launch (List.tl variants);
+  let per_variant =
+    ((Gc.quick_stat ()).Gc.major_words -. before)
+    /. float_of_int (List.length variants - 1)
+  in
+  if per_variant >= 10_000. then
+    Alcotest.failf "a launch after the first adds %.0f major-heap words" per_variant
 
 let test_best_variant () =
   let opts = { quick_opts with Options.per = Options.Per_element } in
@@ -652,11 +705,15 @@ let tests =
     Alcotest.test_case "openmp overhead dominates tiny array" `Quick test_openmp_overhead_dominates_tiny_array;
     Alcotest.test_case "openmp guided simulates every chunk" `Quick
       test_openmp_guided_simulates_every_chunk;
+    Alcotest.test_case "parallel set-up errors match sequential" `Quick
+      test_parallel_setup_errors;
     Alcotest.test_case "openmp chunk error fails the launch" `Quick
       test_openmp_chunk_error_fails_launch;
     Alcotest.test_case "standalone mode" `Quick test_standalone_mode;
     Alcotest.test_case "standalone fork" `Quick test_standalone_fork;
     Alcotest.test_case "run_variants batch" `Quick test_run_variants_batch;
+    Alcotest.test_case "launches reuse one pipeline" `Quick
+      test_launch_reuses_pipeline;
     Alcotest.test_case "best_variant" `Quick test_best_variant;
     Alcotest.test_case "alignment configs" `Quick test_alignment_configs;
     Alcotest.test_case "alignment configs bounded work" `Quick

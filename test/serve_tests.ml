@@ -514,6 +514,80 @@ let test_daemon_metrics_endpoint () =
             check_bool "exposition has exec-latency summary" true
               (string_contains "# TYPE serve_job_exec_us summary" text)))
 
+(* A request line with no newline must not grow the daemon's buffer
+   without bound: past [Protocol.max_request_bytes] it is refused, and
+   the daemon serves other clients meanwhile.  Refused and undecodable
+   lines both count as bad requests. *)
+let test_daemon_bounds_request_line () =
+  let prev = Mt_telemetry.global () in
+  Mt_telemetry.set_global (Mt_telemetry.create ());
+  let rejection fd =
+    let ic = Unix.in_channel_of_descr fd in
+    match Protocol.read_response ic with
+    | Some (Ok (Protocol.Rejected (Protocol.Bad_request msg))) -> msg
+    | Some (Ok _) -> Alcotest.fail "expected a bad-request rejection"
+    | Some (Error msg) -> Alcotest.failf "undecodable reply: %s" msg
+    | None -> Alcotest.fail "closed without a reply"
+    | exception (Sys_blocked_io | Sys_error _) -> Alcotest.fail "no reply in 10 s"
+  in
+  let connect socket =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    (* A reply that never comes fails the test instead of hanging it. *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    fd
+  in
+  let send fd text = ignore (Unix.write_substring fd text 0 (String.length text)) in
+  Fun.protect
+    ~finally:(fun () -> Mt_telemetry.set_global prev)
+    (fun () ->
+      with_daemon (fun ~socket ~daemon:_ ->
+          let fd = connect socket in
+          let half = Protocol.max_request_bytes / 2 in
+          send fd (String.make half 'x');
+          (match Client.submit ~socket small_submission with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "valid client: %s" msg);
+          send fd (String.make (Protocol.max_request_bytes - half + 1) 'x');
+          check_bool "the over-long line is refused" true
+            (string_contains "exceeds" (rejection fd));
+          Unix.close fd;
+          let fd = connect socket in
+          send fd "not json\n";
+          ignore (rejection fd);
+          Unix.close fd;
+          check_int "both counted as bad requests" 2
+            (Mt_telemetry.counter (Mt_telemetry.global ())
+               "serve.rejected.bad_request")))
+
+(* A daemon writing no trace file (here [mt_serve --metrics-out FILE])
+   must hold a bounded amount of telemetry: as many span events after
+   10 warm jobs as after 2. *)
+let test_daemon_span_events_bounded () =
+  let prev = Mt_telemetry.global () in
+  let tel =
+    Mt_cli.setup (Microtools.Study.Run_config.make ~metrics_out:"metrics.csv" ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Mt_telemetry.set_global prev)
+    (fun () ->
+      with_daemon ~workers:1 (fun ~socket ~daemon:_ ->
+          let submit () =
+            match Client.submit ~socket small_submission with
+            | Ok _ -> ()
+            | Error msg -> Alcotest.failf "submit: %s" msg
+          in
+          (* The first job fills the cache; the rest are warm. *)
+          submit ();
+          submit ();
+          submit ();
+          let after_two = List.length (Mt_telemetry.events tel) in
+          for _ = 1 to 8 do
+            submit ()
+          done;
+          check_int "events after 10 warm jobs" after_two
+            (List.length (Mt_telemetry.events tel))))
+
 (* --history-dir: every completed job lands in the archive, in order. *)
 let test_daemon_history_archive () =
   let dir = temp_dir "mtservehist" in
@@ -574,6 +648,10 @@ let suite =
     Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
     Alcotest.test_case "daemon metrics endpoint" `Quick
       test_daemon_metrics_endpoint;
+    Alcotest.test_case "daemon bounds a request line" `Quick
+      test_daemon_bounds_request_line;
+    Alcotest.test_case "daemon span events stay bounded" `Quick
+      test_daemon_span_events_bounded;
     Alcotest.test_case "daemon history archive" `Quick
       test_daemon_history_archive;
     Alcotest.test_case "daemon refuses live socket" `Quick

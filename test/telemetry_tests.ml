@@ -97,6 +97,26 @@ let test_disabled_noop () =
   validate_json (Mt_telemetry.chrome_trace t);
   Alcotest.(check string) "empty metrics" "key,value\n" (Mt_telemetry.metrics_csv t)
 
+(* What a daemon writing no trace file holds: every metric it serves,
+   but no event list growing with each span. *)
+let test_metrics_only_handle () =
+  let t = Mt_telemetry.create ~events:false () in
+  check_bool "enabled" true (Mt_telemetry.enabled t);
+  for _ = 1 to 3 do
+    Mt_telemetry.span t "job" (fun () -> ())
+  done;
+  Mt_telemetry.emit t "lane" ~start_us:0. ~dur_us:1.;
+  Mt_telemetry.series t "cache.L1" [ ("hit", 1.) ];
+  Mt_telemetry.incr t "jobs";
+  check_int "counters kept" 1 (Mt_telemetry.counter t "jobs");
+  (match List.assoc_opt "span.job.us" (Mt_telemetry.histograms t) with
+  | Some h -> check_int "span histogram kept" 3 h.Mt_telemetry.count
+  | None -> Alcotest.fail "no span histogram");
+  check_bool "quantiles kept" true
+    (Mt_telemetry.quantile t "span.job.us" 50. <> None);
+  check_int "no events" 0 (List.length (Mt_telemetry.events t));
+  check_int "no samples" 0 (List.length (Mt_telemetry.samples t))
+
 let test_global_defaults_disabled () =
   check_bool "global starts disabled" false
     (Mt_telemetry.enabled (Mt_telemetry.global ()))
@@ -279,6 +299,8 @@ let tests =
     Alcotest.test_case "span records on exception" `Quick
       test_span_records_on_exception;
     Alcotest.test_case "disabled handle is a no-op" `Quick test_disabled_noop;
+    Alcotest.test_case "metrics-only handle keeps no events" `Quick
+      test_metrics_only_handle;
     Alcotest.test_case "global defaults to disabled" `Quick
       test_global_defaults_disabled;
     Alcotest.test_case "counter atomicity under Pool.map" `Quick
