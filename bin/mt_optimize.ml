@@ -1,18 +1,20 @@
-(* Derive a pruned study plan from a history archive — the μOpTime
-   move, turned into a tool:
+(* Derive a study plan of per-variant experiment budgets from a
+   history archive — the μOpTime move, turned into a tool:
 
      mt_optimize --history runs/ --out plan.json
      mt_optimize --history runs/ --kernel-hash H --machine-hash M
-     mt_optimize --history runs/ --min-experiments 3 --corr-threshold 0.99
+     mt_optimize --history runs/ --min-experiments 3
 
    Reads the archive's newest lineage (or the one selected by
    --kernel-hash/--machine-hash), scores every variant's median series
-   for stability (pooled CoV, worst-run RCIW, trend classification) and
-   redundancy (Spearman against already-kept variants), and writes a
-   plan that mt_study / mt_experiments / mt_serve replay with --plan
-   and mt_report verifies with --plan.
+   for stability (pooled CoV, worst-run RCIW, trend classification),
+   and writes a plan that floors the stable variants' experiment
+   counts.  mt_study / mt_experiments / mt_serve replay it with --plan;
+   every variant is still measured, so mt_report gates the run as
+   usual.
 
-   Exit 0 on a written plan, 2 on an unusable archive or lineage. *)
+   Exit 0 on a written plan, 2 on an unusable archive or lineage or a
+   floor below 1 experiment. *)
 
 open Cmdliner
 
@@ -31,8 +33,8 @@ let select_lineage hist kernel_hash machine_hash =
         | None -> true)
       (Mt_obsv.History.lineages hist)
 
-let run dir out kernel_hash machine_hash min_runs corr_threshold cov_stable
-    rciw_stable min_experiments quiet =
+let run dir out kernel_hash machine_hash min_runs cov_stable rciw_stable
+    min_experiments quiet =
   match Mt_obsv.History.load dir with
   | Error msg ->
     Printf.eprintf "mt_optimize: %s\n" msg;
@@ -46,13 +48,7 @@ let run dir out kernel_hash machine_hash min_runs corr_threshold cov_stable
       2
     | Some lineage -> (
       let knobs =
-        {
-          Mt_optimize.Plan.min_runs;
-          corr_threshold;
-          cov_stable;
-          rciw_stable;
-          min_experiments;
-        }
+        { Mt_optimize.Plan.min_runs; cov_stable; rciw_stable; min_experiments }
       in
       match Mt_optimize.Optimizer.optimize ~knobs hist lineage with
       | Error msg ->
@@ -113,18 +109,8 @@ let min_runs_arg =
     & opt int Mt_optimize.Optimizer.default_knobs.Mt_optimize.Plan.min_runs
     & info [ "min-runs" ] ~docv:"N"
         ~doc:
-          "Lineage length below which nothing is pruned or floored — too \
-           little history to judge stability.")
-
-let corr_arg =
-  Arg.(
-    value
-    & opt float
-        Mt_optimize.Optimizer.default_knobs.Mt_optimize.Plan.corr_threshold
-    & info [ "corr-threshold" ] ~docv:"RHO"
-        ~doc:
-          "Absolute Spearman rank correlation at or above which two stable \
-           median series are redundant (one canaries the other).")
+          "Lineage length below which nothing is floored — too little \
+           history to judge stability.")
 
 let cov_arg =
   Arg.(
@@ -150,8 +136,8 @@ let min_exps_arg =
         Mt_optimize.Optimizer.default_knobs.Mt_optimize.Plan.min_experiments
     & info [ "min-experiments" ] ~docv:"N"
         ~doc:
-          "The floor experiment count stable variants drop to (noisy ones \
-           keep their full adaptive budget).")
+          "The floor experiment count stable variants drop to, at least 1 \
+           (noisy ones keep their full adaptive budget).")
 
 let quiet_arg =
   Arg.(
@@ -159,7 +145,9 @@ let quiet_arg =
     & info [ "quiet"; "q" ] ~doc:"Suppress the table; write the plan only.")
 
 let cmd =
-  let doc = "derive a pruned study plan from a snapshot history archive" in
+  let doc =
+    "derive a study plan of experiment budgets from a history archive"
+  in
   let man =
     [
       `S Manpage.s_description;
@@ -167,25 +155,25 @@ let cmd =
         "Extracts each variant's median time series along one kernel + \
          machine lineage of the archive and scores it for stability \
          (pooled coefficient of variation, worst-run bootstrap RCIW, \
-         noise-gated trend classification) and redundancy (Spearman rank \
-         correlation against already-kept variants).  Stable variants \
-         drop to a floor experiment count; stable variants that co-move \
-         with a kept canary are dropped entirely and inherit the \
-         canary's verdict in mt_report $(b,--plan).  Noisy, drifting or \
-         partially-missing variants always keep their full budget — \
-         pruning never touches a series the archive cannot vouch for.";
+         noise-gated trend classification).  Stable variants drop to a \
+         floor experiment count.  Noisy, drifting or partially-missing \
+         variants always keep their full budget — the plan never cuts a \
+         series the archive cannot vouch for.  No variant is ever \
+         dropped: a planned run measures every variant.";
       `P
         "The written plan is replayed with mt_study/mt_experiments \
-         $(b,--plan) (locally or through an mt_serve submission) and \
-         verified with mt_report $(b,--plan).";
+         $(b,--plan), locally or through an mt_serve submission.  The \
+         planned run's snapshot gates with mt_report like any other.";
       `S Manpage.s_exit_status;
-      `P "0 on a written plan, 2 on an unusable archive or lineage.";
+      `P
+        "0 on a written plan, 2 on an unusable archive or lineage or a \
+         $(b,--min-experiments) below 1.";
     ]
   in
   Cmd.v (Cmd.info "mt_optimize" ~doc ~man)
     Term.(
       const run $ history_arg $ out_arg $ kernel_hash_arg $ machine_hash_arg
-      $ min_runs_arg $ corr_arg $ cov_arg $ rciw_arg $ min_exps_arg
+      $ min_runs_arg $ cov_arg $ rciw_arg $ min_exps_arg
       $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,14 +5,9 @@
      mt_report --threshold 4 --json report.json old.json new.json
      mt_report --history runs/                 # classify the archive
      mt_report --history runs/ current.json    # gate vs windowed baseline
-     mt_report --plan plan.json full.json pruned.json
 
-   With --plan (a study plan from mt_optimize), both sides are first
-   restricted to the variants the plan selects — so a full-suite
-   baseline diffs cleanly against a pruned run — and every dropped
-   variant whose canary's verdict is a believed move gains a
-   synthesized entry inheriting that verdict, so the flagged-variant
-   set matches what the full suite would have flagged.
+   A run under a study plan (mt_optimize) measures every variant, so it
+   gates like any other run.
 
    Two-file mode diffs exactly two snapshots.  With --history the
    baseline side comes from a snapshot archive (written by
@@ -135,23 +130,7 @@ let write_json path json =
 let lineage hist ~kernel_hash ~machine_hash =
   Mt_obsv.History.matching ~kernel_hash ~machine_hash hist
 
-let plan_keys plan keys =
-  match plan with
-  | None -> keys
-  | Some p -> List.filter (Mt_optimize.Plan.selects p) keys
-
-let plan_diff plan ~baseline current ~threshold ~min_band =
-  match plan with
-  | None -> Mt_obsv.Diff.compare ~threshold ~min_band ~baseline current
-  | Some p ->
-    let diff =
-      Mt_obsv.Diff.compare ~threshold ~min_band
-        ~baseline:(Mt_optimize.Plan.filter_snapshot p baseline)
-        (Mt_optimize.Plan.filter_snapshot p current)
-    in
-    Mt_optimize.Plan.expand_diff p diff
-
-let run_timeline dir plan threshold min_band json_out quiet =
+let run_timeline dir threshold min_band json_out quiet =
   match Mt_obsv.History.load dir with
   | Error msg ->
     Printf.eprintf "mt_report: %s\n" msg;
@@ -169,7 +148,7 @@ let run_timeline dir plan threshold min_band json_out quiet =
       let rows =
         List.map
           (fun key -> trend_row hist entries key)
-          (plan_keys plan (Mt_obsv.History.keys ~entries hist))
+          (Mt_obsv.History.keys ~entries hist)
       in
       let rows =
         List.map
@@ -185,7 +164,7 @@ let run_timeline dir plan threshold min_band json_out quiet =
       if List.exists (fun (_, _, _, tr) -> trend_worsened tr) rows then 1
       else 0)
 
-let run_gate dir window current plan threshold min_band json_out quiet =
+let run_gate dir window current threshold min_band json_out quiet =
   match (Mt_obsv.History.load dir, Mt_obsv.Snapshot.load current) with
   | Error msg, _ | _, Error msg ->
     Printf.eprintf "mt_report: %s\n" msg;
@@ -200,9 +179,7 @@ let run_gate dir window current plan threshold min_band json_out quiet =
         "mt_report: %s: no archived runs match %s on %s (archive has %d \
          runs of other lineages)\n"
         dir cur.Mt_obsv.Snapshot.kernel_name cur.Mt_obsv.Snapshot.machine_name
-        (match Mt_obsv.History.load dir with
-        | Ok h -> Mt_obsv.History.length h
-        | Error _ -> 0);
+        (Mt_obsv.History.length hist);
       2
     end
     else
@@ -211,7 +188,9 @@ let run_gate dir window current plan threshold min_band json_out quiet =
         Printf.eprintf "mt_report: %s\n" msg;
         2
       | Ok base ->
-        let diff = plan_diff plan ~baseline:base cur ~threshold ~min_band in
+        let diff =
+          Mt_obsv.Diff.compare ~threshold ~min_band ~baseline:base cur
+        in
         if not quiet then begin
           Printf.printf
             "baseline: median of last %d stationary-regime runs (%d archived \
@@ -239,7 +218,7 @@ let run_gate dir window current plan threshold min_band json_out quiet =
                   | None -> medians
                 in
                 (key, points, with_cur, tr))
-              (plan_keys plan (Mt_obsv.History.keys ~entries hist))
+              (Mt_obsv.History.keys ~entries hist)
           in
           print_newline ();
           print_string (render_timeline hist entries rows)
@@ -255,7 +234,7 @@ let run_gate dir window current plan threshold min_band json_out quiet =
 (* Entry                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run history window first second plan threshold min_band json_out quiet =
+let run history window first second threshold min_band json_out quiet =
   match (history, first, second) with
   | None, Some baseline, Some current -> (
     match (Mt_obsv.Snapshot.load baseline, Mt_obsv.Snapshot.load current) with
@@ -263,7 +242,9 @@ let run history window first second plan threshold min_band json_out quiet =
       Printf.eprintf "mt_report: %s\n" msg;
       2
     | Ok base, Ok cur ->
-      let diff = plan_diff plan ~baseline:base cur ~threshold ~min_band in
+      let diff =
+        Mt_obsv.Diff.compare ~threshold ~min_band ~baseline:base cur
+      in
       if not quiet then print_string (Mt_obsv.Diff.render diff);
       Option.iter
         (fun path -> write_json path (Mt_obsv.Diff.to_json diff))
@@ -280,9 +261,9 @@ let run history window first second plan threshold min_band json_out quiet =
       "mt_report: need BASELINE and CURRENT snapshots (or --history DIR)\n";
     2
   | Some dir, None, None ->
-    run_timeline dir plan threshold min_band json_out quiet
+    run_timeline dir threshold min_band json_out quiet
   | Some dir, Some current, None ->
-    run_gate dir window current plan threshold min_band json_out quiet
+    run_gate dir window current threshold min_band json_out quiet
   | Some _, _, Some _ ->
     Printf.eprintf
       "mt_report: --history takes at most one snapshot (the current run)\n";
@@ -375,7 +356,6 @@ let cmd =
   Cmd.v (Cmd.info "mt_report" ~doc ~man)
     Term.(
       const run $ history_arg $ window_arg $ first_arg $ second_arg
-      $ Mt_cli.plan_arg $ threshold_arg $ min_band_arg $ json_arg
-      $ quiet_arg)
+      $ threshold_arg $ min_band_arg $ json_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -271,11 +271,10 @@ let plan_arg =
     & opt (some plan_conv) None
     & info [ "plan" ] ~docv:"FILE" ~docs:docs_run
         ~doc:
-          "Shape the run by a study plan written by $(b,mt_optimize): \
-           only the variants the plan keeps are measured, and variants \
-           the optimizer judged stable run at the plan's floored \
-           experiment count.  Variants the plan has never seen still \
-           run at the default budget.")
+          "Set per-variant experiment budgets from a study plan written \
+           by $(b,mt_optimize): variants the optimizer judged stable run \
+           at the plan's floored experiment count, every other variant \
+           at the default budget.  Every variant is still measured.")
 
 (* Not part of {!term}: client-mode routing, composed only by binaries
    that can submit to an mt_serve daemon (currently mt_study). *)

@@ -22,14 +22,6 @@ val term : t Cmdliner.Term.t
     (unless [--no-cache]) and folds the resilience flags into
     [config.policy]. *)
 
-val plan_arg : Mt_optimize.Plan.t option Cmdliner.Term.t
-(** The [--plan FILE] flag on its own — the single definition, already
-    composed into {!term} (where it lands in [config.plan]); exposed
-    separately for binaries that consume a plan without the full
-    run-shaping set (mt_report).  The file is loaded and validated at
-    parse time, so a bad plan is a usage error, not a mid-run
-    failure. *)
-
 val submit_arg : string option Cmdliner.Term.t
 (** The [--submit SOCKET] flag routing a run to an mt_serve daemon
     instead of measuring locally.  Kept out of {!term} so only binaries

@@ -129,13 +129,14 @@ module Run_config = struct
   (* The plan's per-variant floor: an exact experiment count for a
      variant the optimizer judged stable.  Under the adaptive
      controller this is the starting (minimum) count — the controller
-     can still grow a series that turns noisy. *)
+     can still grow a series that turns noisy.  A count below 1 is not
+     clamped: [Options.validate] rejects it like any other. *)
   let plan_options t ~variant_id (opts : Options.t) =
     match Option.bind t.plan (fun p ->
               Mt_optimize.Plan.experiments_override p variant_id)
     with
     | None -> opts
-    | Some n -> { opts with Options.experiments = max 1 n }
+    | Some n -> { opts with Options.experiments = n }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -278,22 +279,6 @@ let run ?(config = Run_config.default) t =
   let options = Run_config.apply_options config t.options in
   let tel = Mt_telemetry.global () in
   let vs = variants t in
-  (* Plan filtering happens here, not in [variants]: the generated
-     space stays cached whole, so the same study value can run pruned
-     and unpruned.  Unknown variants stay in (Plan.selects). *)
-  let vs =
-    match config.Run_config.plan with
-    | None -> vs
-    | Some plan ->
-      let kept, pruned =
-        List.partition
-          (fun v -> Mt_optimize.Plan.selects plan (Variant.id v))
-          vs
-      in
-      Mt_telemetry.add tel "plan.kept" (List.length kept);
-      Mt_telemetry.add tel "plan.dropped" (List.length pruned);
-      kept
-  in
   let resumed =
     match config.Run_config.resume_from with
     | None -> []

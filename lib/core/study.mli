@@ -54,9 +54,9 @@ module Run_config : sig
         (** write a folded-stack flamegraph of the attribution here
             (binaries; implies [profile]) *)
     plan : Mt_optimize.Plan.t option;
-        (** study plan from [mt_optimize]: restricts the run to the
-            variants the plan selects and floors planned experiment
-            counts — the canonical variant/experiment selection path *)
+        (** study plan from [mt_optimize]: floors planned experiment
+            counts — the canonical per-variant budget path.  Every
+            variant still runs. *)
   }
 
   val default : t
@@ -151,11 +151,10 @@ val run : ?config:Run_config.t -> t -> outcome list
     {!csv} output.
     @raise Failure when [config.resume_from] cannot be read.
 
-    Planning: with [config.plan], only variants the plan selects are
-    measured (a variant the plan has never seen still runs — see
-    {!Mt_optimize.Plan.selects}), floored variants use the plan's
-    experiment count, and the [plan.kept] / [plan.dropped] telemetry
-    counters record the pruning.
+    Planning: with [config.plan], floored variants use the plan's
+    experiment count (see {!Run_config.plan_options}); every other
+    variant, including one the plan does not list, runs at the default
+    budget.
 
     When the global {!Mt_telemetry} handle is enabled, the run is a
     [study.run] span containing [study.variant] and

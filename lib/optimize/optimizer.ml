@@ -4,101 +4,58 @@ module Snapshot = Mt_obsv.Snapshot
 let default_knobs =
   {
     Plan.min_runs = 4;
-    corr_threshold = 0.95;
     cov_stable = 0.01;
     rciw_stable = 0.02;
     min_experiments = 2;
   }
 
-(* Everything the greedy pass needs about one variant, computed in a
-   single sweep over its archived series. *)
-type scored = {
-  s_key : string;
-  s_seqs : int list;  (** which lineage runs the series covers *)
-  s_medians : float array;
-  s_cov : float;
-  s_rciw : float;
-  s_trend : Mt_stats.Trend.result;
-  s_stable : bool;
-}
-
+(* One variant's budget, computed in a single sweep over its archived
+   series. *)
 let score ~knobs ~runs hist entries key =
   let series = History.series ~entries hist ~variant:key in
-  let s_seqs = List.map (fun ((e : History.entry), _) -> e.History.seq) series in
-  let s_medians =
-    Array.of_list
-      (List.map
-         (fun (_, (v : Snapshot.variant_stat)) -> v.Snapshot.median)
-         series)
-  in
-  let s_cov = History.pooled_noise series in
-  let s_rciw =
+  let cov = History.pooled_noise series in
+  let rciw =
     List.fold_left
       (fun acc (_, (v : Snapshot.variant_stat)) -> Float.max acc v.Snapshot.rciw)
       0. series
   in
-  let s_trend = History.trend series in
+  let trend = History.trend series in
   (* Stability demands the full picture: present in every run of the
      lineage, stationary across runs, quiet within them.  A variant
-     that misses runs (quarantine, kernel churn) is not a pruning
-     candidate — we cannot show its series co-moves with anything. *)
-  let s_stable =
+     that misses runs (quarantine, kernel churn) keeps its budget — the
+     archive cannot vouch for it. *)
+  let stable =
     runs >= knobs.Plan.min_runs
     && List.length series = runs
-    && s_trend.Mt_stats.Trend.classification = Mt_stats.Trend.Stationary
-    && s_cov <= knobs.Plan.cov_stable
-    && s_rciw <= knobs.Plan.rciw_stable
+    && trend.Mt_stats.Trend.classification = Mt_stats.Trend.Stationary
+    && cov <= knobs.Plan.cov_stable
+    && rciw <= knobs.Plan.rciw_stable
   in
-  { s_key = key; s_seqs; s_medians; s_cov; s_rciw; s_trend; s_stable }
+  {
+    Plan.variant = key;
+    experiments = (if stable then Some knobs.Plan.min_experiments else None);
+    stable;
+    cov;
+    rciw;
+    trend =
+      Mt_stats.Trend.classification_to_string
+        trend.Mt_stats.Trend.classification;
+  }
 
 let optimize ?(knobs = default_knobs) ?created_at hist
     (lineage : History.lineage) =
   let entries = lineage.History.l_entries in
   if entries = [] then Error "optimize: empty lineage"
+  else if knobs.Plan.min_experiments < 1 then
+    Error
+      (Printf.sprintf
+         "optimize: the experiment floor must be at least 1, not %d"
+         knobs.Plan.min_experiments)
   else begin
     let runs = List.length entries in
-    let keys = History.keys ~entries hist in
-    let scored = List.map (score ~knobs ~runs hist entries) keys in
-    (* Greedy canary assignment in key order: drop a stable variant
-       onto the first kept stable one it co-moves with; otherwise it
-       is kept at the floor and may canary later variants itself. *)
-    let canaries = ref [] in
-    let keep = ref [] and drop = ref [] in
-    List.iter
-      (fun s ->
-        let redundant_with =
-          if not s.s_stable then None
-          else
-            List.find_map
-              (fun c ->
-                if c.s_seqs <> s.s_seqs then None
-                else
-                  let rho = Mt_stats.spearman c.s_medians s.s_medians in
-                  if Float.abs rho >= knobs.Plan.corr_threshold then
-                    Some (c.s_key, rho)
-                  else None)
-              (List.rev !canaries)
-        in
-        match redundant_with with
-        | Some (canary, correlation) ->
-          drop :=
-            { Plan.variant = s.s_key; canary; correlation } :: !drop
-        | None ->
-          if s.s_stable then canaries := s :: !canaries;
-          keep :=
-            {
-              Plan.variant = s.s_key;
-              experiments =
-                (if s.s_stable then Some knobs.Plan.min_experiments else None);
-              stable = s.s_stable;
-              cov = s.s_cov;
-              rciw = s.s_rciw;
-              trend =
-                Mt_stats.Trend.classification_to_string
-                  s.s_trend.Mt_stats.Trend.classification;
-            }
-            :: !keep)
-      scored;
+    let keep =
+      List.map (score ~knobs ~runs hist entries) (History.keys ~entries hist)
+    in
     let created_at =
       match created_at with Some t -> t | None -> Unix.gettimeofday ()
     in
@@ -113,50 +70,30 @@ let optimize ?(knobs = default_knobs) ?created_at hist
         machine_name = lineage.History.l_machine_name;
         machine_hash = lineage.History.l_machine_hash;
         knobs;
-        keep = List.rev !keep;
-        drop = List.rev !drop;
+        keep;
       }
   end
 
 let render (plan : Plan.t) =
   let buf = Buffer.create 1024 in
-  let rows =
-    List.map
-      (fun (k : Plan.keep) ->
-        ( k.Plan.variant,
-          (if k.Plan.experiments <> None then "floor" else "keep"),
-          (match k.Plan.experiments with
-          | Some n -> string_of_int n
-          | None -> "adaptive"),
-          Printf.sprintf "%.4f" k.Plan.cov,
-          Printf.sprintf "%.4f" k.Plan.rciw,
-          k.Plan.trend,
-          "" ))
-      plan.Plan.keep
-    @ List.map
-        (fun (d : Plan.drop) ->
-          ( d.Plan.variant,
-            "drop",
-            "0",
-            "-",
-            "-",
-            "-",
-            Printf.sprintf "canary %s (%.3f)" d.Plan.canary d.Plan.correlation
-          ))
-        plan.Plan.drop
-  in
   let key_w =
-    List.fold_left (fun acc (k, _, _, _, _, _, _) -> max acc (String.length k))
-      7 rows
+    List.fold_left
+      (fun acc (k : Plan.keep) -> max acc (String.length k.Plan.variant))
+      7 plan.Plan.keep
   in
   Buffer.add_string buf
-    (Printf.sprintf "  %-*s  %-6s %9s %8s %8s  %-16s %s\n" key_w "variant"
-       "action" "exps" "cov" "rciw" "trend" "");
+    (Printf.sprintf "  %-*s  %-6s %9s %8s %8s  %s\n" key_w "variant" "action"
+       "exps" "cov" "rciw" "trend");
   List.iter
-    (fun (key, action, exps, cov, rciw, trend, note) ->
+    (fun (k : Plan.keep) ->
+      let action, exps =
+        match k.Plan.experiments with
+        | Some n -> ("floor", string_of_int n)
+        | None -> ("keep", "adaptive")
+      in
       Buffer.add_string buf
-        (Printf.sprintf "  %-*s  %-6s %9s %8s %8s  %-16s %s\n" key_w key action
-           exps cov rciw trend note))
-    rows;
+        (Printf.sprintf "  %-*s  %-6s %9s %8.4f %8.4f  %s\n" key_w
+           k.Plan.variant action exps k.Plan.cov k.Plan.rciw k.Plan.trend))
+    plan.Plan.keep;
   Buffer.add_string buf ("\n" ^ Plan.summary plan ^ "\n");
   Buffer.contents buf

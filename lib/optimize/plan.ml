@@ -1,10 +1,7 @@
 module Json = Mt_obsv.Json
-module Snapshot = Mt_obsv.Snapshot
-module Diff = Mt_obsv.Diff
 
 type knobs = {
   min_runs : int;
-  corr_threshold : float;
   cov_stable : float;
   rciw_stable : float;
   min_experiments : int;
@@ -19,8 +16,6 @@ type keep = {
   trend : string;
 }
 
-type drop = { variant : string; canary : string; correlation : float }
-
 type t = {
   schema : int;
   created_at : float;
@@ -32,10 +27,9 @@ type t = {
   machine_hash : string;
   knobs : knobs;
   keep : keep list;
-  drop : drop list;
 }
 
-let schema_version = 1
+let schema_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -44,83 +38,19 @@ let schema_version = 1
 let find_keep t key =
   List.find_opt (fun (k : keep) -> k.variant = key) t.keep
 
-let find_drop t key =
-  List.find_opt (fun (d : drop) -> d.variant = key) t.drop
-
-(* Unknown variants are measured, not skipped: a kernel revision that
-   grows new variants after the plan was derived must not leave them
-   invisible until someone regenerates the plan. *)
-let selects t key = find_drop t key = None
-
 let experiments_override t key =
   Option.bind (find_keep t key) (fun k -> k.experiments)
-
-let covered_by t ~canary =
-  List.filter (fun (d : drop) -> d.canary = canary) t.drop
 
 let summary t =
   let floored =
     List.length (List.filter (fun (k : keep) -> k.experiments <> None) t.keep)
   in
   Printf.sprintf
-    "plan: keep %d variant%s (%d floored to %d experiments), drop %d as \
-     redundant (derived from %d runs of %s)"
+    "plan: keep %d variant%s (%d floored to %d experiments), derived from %d \
+     runs of %s"
     (List.length t.keep)
     (if List.length t.keep = 1 then "" else "s")
-    floored t.knobs.min_experiments (List.length t.drop) t.runs t.kernel_name
-
-(* ------------------------------------------------------------------ *)
-(* Applying a plan to reports                                          *)
-(* ------------------------------------------------------------------ *)
-
-let filter_snapshot t (snap : Snapshot.t) =
-  let variants =
-    List.filter
-      (fun (v : Snapshot.variant_stat) -> selects t v.Snapshot.key)
-      snap.Snapshot.variants
-  in
-  {
-    snap with
-    Snapshot.variants;
-    variant_count =
-      List.length variants + List.length snap.Snapshot.quarantined;
-  }
-
-let expand_diff t (diff : Diff.t) =
-  let synthesized = ref [] in
-  let notes = ref [] in
-  List.iter
-    (fun (e : Diff.entry) ->
-      match e.Diff.verdict with
-      | Diff.Regression | Diff.Improvement ->
-        List.iter
-          (fun d ->
-            synthesized :=
-              {
-                e with
-                Diff.key = d.variant;
-                quality = Diff.Quality_unchanged;
-                baseline = None;
-                current = None;
-                bottleneck = None;
-              }
-              :: !synthesized;
-            notes :=
-              Printf.sprintf
-                "plan: %s not measured; %s inherited from canary %s \
-                 (correlation %.3f)"
-                d.variant
-                (Diff.verdict_to_string e.Diff.verdict)
-                d.canary d.correlation
-              :: !notes)
-          (covered_by t ~canary:e.Diff.key)
-      | Diff.Unchanged | Diff.Added | Diff.Removed -> ())
-    diff.Diff.entries;
-  {
-    diff with
-    Diff.entries = diff.Diff.entries @ List.rev !synthesized;
-    provenance_notes = diff.Diff.provenance_notes @ List.rev !notes;
-  }
+    floored t.knobs.min_experiments t.runs t.kernel_name
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
@@ -130,7 +60,6 @@ let knobs_to_json (k : knobs) =
   Json.Obj
     [
       ("min_runs", Json.Num (float_of_int k.min_runs));
-      ("corr_threshold", Json.Num k.corr_threshold);
       ("cov_stable", Json.Num k.cov_stable);
       ("rciw_stable", Json.Num k.rciw_stable);
       ("min_experiments", Json.Num (float_of_int k.min_experiments));
@@ -148,14 +77,6 @@ let keep_to_json (k : keep) =
       ("cov", Json.Num k.cov);
       ("rciw", Json.Num k.rciw);
       ("trend", Json.Str k.trend);
-    ]
-
-let drop_to_json (d : drop) =
-  Json.Obj
-    [
-      ("variant", Json.Str d.variant);
-      ("canary", Json.Str d.canary);
-      ("correlation", Json.Num d.correlation);
     ]
 
 let to_json t =
@@ -178,7 +99,6 @@ let to_json t =
           ] );
       ("knobs", knobs_to_json t.knobs);
       ("keep", Json.List (List.map keep_to_json t.keep));
-      ("drop", Json.List (List.map drop_to_json t.drop));
     ]
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
@@ -196,15 +116,21 @@ let opt_field name decode ~default json =
     | Some v -> Ok v
     | None -> err "plan: malformed field %S" name)
 
+(* An experiment count below 1 cannot run: refuse it here, where plans
+   enter the program from disk or from the serve wire. *)
+let experiment_count name = function
+  | n when n >= 1 -> Ok n
+  | n -> err "plan: field %S must be at least 1, not %d" name n
+
 let ( let* ) = Result.bind
 
 let knobs_of_json json =
   let* min_runs = field "min_runs" Json.to_int json in
-  let* corr_threshold = field "corr_threshold" Json.to_float json in
   let* cov_stable = field "cov_stable" Json.to_float json in
   let* rciw_stable = field "rciw_stable" Json.to_float json in
   let* min_experiments = field "min_experiments" Json.to_int json in
-  Ok { min_runs; corr_threshold; cov_stable; rciw_stable; min_experiments }
+  let* min_experiments = experiment_count "min_experiments" min_experiments in
+  Ok { min_runs; cov_stable; rciw_stable; min_experiments }
 
 let keep_of_json json =
   let* variant = field "variant" Json.to_str json in
@@ -213,7 +139,7 @@ let keep_of_json json =
     | None | Some Json.Null -> Ok None
     | Some v -> (
       match Json.to_int v with
-      | Some n -> Ok (Some n)
+      | Some n -> Result.map Option.some (experiment_count "experiments" n)
       | None -> err "plan: malformed field %S" "experiments")
   in
   let* stable = opt_field "stable" Json.to_bool ~default:false json in
@@ -221,12 +147,6 @@ let keep_of_json json =
   let* rciw = opt_field "rciw" Json.to_float ~default:0. json in
   let* trend = opt_field "trend" Json.to_str ~default:"" json in
   Ok { variant; experiments; stable; cov; rciw; trend }
-
-let drop_of_json json =
-  let* variant = field "variant" Json.to_str json in
-  let* canary = field "canary" Json.to_str json in
-  let* correlation = opt_field "correlation" Json.to_float ~default:0. json in
-  Ok { variant; canary; correlation }
 
 let decode_list name decode json =
   let* items = field name Json.to_list json in
@@ -240,8 +160,11 @@ let decode_list name decode json =
   in
   Ok (List.rev rev)
 
-(* Same compatibility posture as snapshots: unknown fields are ignored,
-   so an older binary can still load a plan a newer one wrote. *)
+(* Unknown fields are ignored, so a schema-1 plan still loads: its drop
+   list and correlation knob are such fields, and the variants it
+   dropped are simply not listed, so they run at the default budget.
+   The reverse does not hold: a schema-1 decoder requires the drop list
+   and the correlation knob, so it refuses a schema-2 plan. *)
 let of_json json =
   let* schema = field "schema" Json.to_int json in
   let* created_at = opt_field "created_at" Json.to_float ~default:0. json in
@@ -262,7 +185,6 @@ let of_json json =
     | Some k -> knobs_of_json k
   in
   let* keep = decode_list "keep" keep_of_json json in
-  let* drop = decode_list "drop" drop_of_json json in
   Ok
     {
       schema;
@@ -275,7 +197,6 @@ let of_json json =
       machine_hash;
       knobs;
       keep;
-      drop;
     }
 
 let to_string t = Json.to_string ~indent:true (to_json t)

@@ -1,50 +1,38 @@
-(** The study plan: the one canonical answer to "which variants, with
-    how many experiments each".
+(** The study plan: the one canonical answer to "how many experiments
+    does each variant get".
 
     A plan is what {!Optimizer.optimize} emits after scoring a history
     lineage, and what every execution path consumes — [Study.run]
-    filters its variant list and overrides per-variant experiment
-    counts through it, [mt_report --plan] uses it to judge a pruned run
-    against a full-suite baseline, and [mt_serve] ships it inside
-    daemon submissions.  It replaces the ad-hoc trio of [Options.limit]
-    filters, adaptive-controller knobs and per-binary variant selection
-    that each binary previously wired up separately.
+    overrides per-variant experiment counts through it, and [mt_serve]
+    ships it inside daemon submissions.  A plan never removes a
+    variant from a run: it only sets experiment budgets, so a run under
+    a plan measures exactly the variants a run without one does.
 
     Serialised as stable pretty-printed JSON (via {!Mt_obsv.Json}) so
     plans can be committed next to CI baselines and diffed in review. *)
 
 (** The scoring thresholds a plan was derived under — recorded in the
-    document so a reviewer can tell {e why} a variant was floored or
-    dropped without re-running the optimizer. *)
+    document so a reader can tell {e why} a variant was floored
+    without re-running the optimizer. *)
 type knobs = {
-  min_runs : int;
-      (** lineage length below which nothing is pruned or floored *)
-  corr_threshold : float;
-      (** |Spearman| at or above which two stable series are redundant *)
+  min_runs : int;  (** lineage length below which nothing is floored *)
   cov_stable : float;  (** pooled CoV at or below which a series is stable *)
   rciw_stable : float;  (** worst-run RCIW at or below which it stays stable *)
-  min_experiments : int;  (** the μOpTime-style floor for stable variants *)
+  min_experiments : int;
+      (** the μOpTime-style floor for stable variants; at least 1 *)
 }
 
-(** One variant the plan keeps measuring. *)
+(** One variant's budget and the scores behind it. *)
 type keep = {
   variant : string;
   experiments : int option;
-      (** [Some n]: measure with exactly [n] experiments (the stable
-          floor; under the adaptive controller it acts as the minimum).
-          [None]: keep the run's default / adaptive budget. *)
+      (** [Some n]: measure with exactly [n >= 1] experiments (the
+          stable floor; under the adaptive controller it acts as the
+          minimum).  [None]: keep the run's default / adaptive budget. *)
   stable : bool;
   cov : float;  (** pooled within-run CoV across the lineage *)
   rciw : float;  (** worst per-run RCIW across the lineage *)
   trend : string;  (** {!Mt_stats.Trend.classification_to_string} *)
-}
-
-(** One variant the plan stops measuring, and who answers for it. *)
-type drop = {
-  variant : string;
-  canary : string;
-      (** the kept variant whose verdict this one inherits *)
-  correlation : float;  (** Spearman between the two median series *)
 }
 
 type t = {
@@ -58,50 +46,32 @@ type t = {
   machine_hash : string;
   knobs : knobs;
   keep : keep list;
-  drop : drop list;
 }
 
 val schema_version : int
-(** Current on-disk plan schema (1). *)
+(** Current on-disk plan schema (2).  Schema 1 also listed variants to
+    drop; those lists are ignored on load. *)
 
 (** {1 Queries} *)
 
-val selects : t -> string -> bool
-(** [selects t key]: should this variant be measured?  True for kept
-    variants {e and} for variants the plan has never seen (a variant
-    added after the plan was derived is measured at the default budget
-    rather than silently skipped); false only for dropped ones. *)
-
 val experiments_override : t -> string -> int option
-(** The planned experiment count for [key], when the plan floors it. *)
-
-val covered_by : t -> canary:string -> drop list
-(** The dropped variants answering to [canary]. *)
+(** The planned experiment count for [key], when the plan floors it.
+    [None] for a variant the plan keeps at the default budget and for
+    one it does not list (a variant added after the plan was derived). *)
 
 val find_keep : t -> string -> keep option
 
 val summary : t -> string
-(** One line: kept/floored/dropped counts for banners and logs. *)
-
-(** {1 Applying a plan to reports} *)
-
-val filter_snapshot : t -> Mt_obsv.Snapshot.t -> Mt_obsv.Snapshot.t
-(** Restrict a snapshot to the variants the plan selects, so a
-    full-suite baseline diffs cleanly against a pruned run (dropped
-    variants would otherwise show as [Removed]). *)
-
-val expand_diff : t -> Mt_obsv.Diff.t -> Mt_obsv.Diff.t
-(** Re-expand a pruned diff to full-suite coverage: every dropped
-    variant whose canary's verdict is a believed move ([Regression] or
-    [Improvement]) gains a synthesized entry inheriting that verdict,
-    delta and band, plus a provenance note naming the canary — so
-    [mt_report --plan]'s flagged-variant set matches what the full
-    suite would have flagged. *)
+(** One line: kept/floored counts for banners and logs. *)
 
 (** {1 Serialisation} *)
 
 val to_json : t -> Mt_obsv.Json.t
+
 val of_json : Mt_obsv.Json.t -> (t, string) result
+(** Total: every malformed document is an [Error], including an
+    experiment count or [min_experiments] below 1.  Unknown fields are
+    ignored. *)
 
 val to_string : t -> string
 (** Pretty-printed JSON document (ends in a newline). *)

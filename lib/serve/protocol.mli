@@ -37,8 +37,9 @@ type run_options = {
           vectors.  Absent on the wire means off, so pre-profile
           clients keep working. *)
   plan : Mt_optimize.Plan.t option;
-      (** study plan shaping the daemon-side run ([mt_study --submit
-          --plan] embeds the whole plan document in the submission).
+      (** study plan setting the daemon-side run's experiment budgets
+          ([mt_study --submit --plan] embeds the whole plan document in
+          the submission).
           Absent on the wire means none, and the daemon's own [--plan]
           base stays in force — pre-plan clients keep working. *)
 }
@@ -148,7 +149,7 @@ val send_response : out_channel -> response -> unit
 
 val max_request_bytes : int
 (** The longest request line {!read_request} accepts, 4 MiB: far above
-    the 45 KiB of the largest request this repository's clients send. *)
+    the 75 KiB of the largest request this repository's clients send. *)
 
 val read_request : in_channel -> (request, string) result option
 (** [None] on a closed peer; [Some (Error _)] on a malformed line, or

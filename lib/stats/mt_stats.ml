@@ -108,63 +108,6 @@ let pooled_cov groups =
       /. abs_float grand_mean
   end
 
-(* Average-rank assignment for rank correlation: sort positions by
-   value, then give every member of a tie group the mean of the rank
-   positions the group spans.  The tie-break is what makes the result
-   deterministic and invariant under permuting the input — a requirement
-   for the redundancy scoring built on it (two variants must correlate
-   identically however the archive happens to order their runs). *)
-let average_ranks xs =
-  let n = Array.length xs in
-  let idx = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare xs.(a) xs.(b) in
-      if c <> 0 then c else Int.compare a b)
-    idx;
-  let r = Array.make n 0. in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while
-      !j + 1 < n && Float.compare xs.(idx.(!j + 1)) xs.(idx.(!i)) = 0
-    do
-      incr j
-    done;
-    (* Ranks are 1-based; a group spanning positions i..j all get the
-       average (i + j) / 2 + 1. *)
-    let avg = (float_of_int (!i + !j) /. 2.) +. 1. in
-    for k = !i to !j do
-      r.(idx.(k)) <- avg
-    done;
-    i := !j + 1
-  done;
-  r
-
-let spearman xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then
-    invalid_arg "Mt_stats.spearman: length mismatch";
-  if n < 2 then 0.
-  else begin
-    let rx = average_ranks xs and ry = average_ranks ys in
-    let mx = mean rx and my = mean ry in
-    let sxx = ref 0. and syy = ref 0. and sxy = ref 0. in
-    for i = 0 to n - 1 do
-      let dx = rx.(i) -. mx and dy = ry.(i) -. my in
-      sxx := !sxx +. (dx *. dx);
-      syy := !syy +. (dy *. dy);
-      sxy := !sxy +. (dx *. dy)
-    done;
-    (* Degenerate rank variance: two flat series trivially co-move
-       (either can stand in for the other), while flat-vs-moving carries
-       no rank information at all.  Both conventions keep self-
-       correlation at exactly 1. *)
-    if !sxx = 0. && !syy = 0. then 1.
-    else if !sxx = 0. || !syy = 0. then 0.
-    else !sxy /. sqrt (!sxx *. !syy)
-  end
-
 (* One sort serves minimum, maximum and median; callers needing more
    order statistics take [sorted_copy] once and use the [_sorted]
    variants rather than re-sorting per percentile. *)

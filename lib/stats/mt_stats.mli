@@ -70,19 +70,6 @@ val pooled_cov : (int * float * float) list -> float
     from run-to-run noise).  0 when the grand mean is 0 or no samples;
     non-negative always, so the derived band never flips sign. *)
 
-val spearman : float array -> float array -> float
-(** Spearman rank correlation of two equal-length series, with ties
-    assigned their deterministic average rank — the redundancy metric
-    behind [mt_optimize] (two variants whose medians always move
-    together need only one canary).  In [[-1, 1]]; symmetric in its
-    arguments and invariant under applying one permutation to both
-    series.  Degenerate cases: a series correlates with itself at
-    exactly [1.0] (even when constant); two constant series correlate at
-    [1.0] (either can stand in for the other); a constant series against
-    a moving one correlates at [0.0]; series shorter than 2 correlate at
-    [0.0].
-    @raise Invalid_argument on a length mismatch. *)
-
 (** {1 Trend analysis}
 
     Noise-aware classification of a per-variant measurement timeline

@@ -1,13 +1,12 @@
-(* Tests for the suite-time optimizer: scoring a synthetic history
-   lineage (two perfectly-correlated stable variants plus one noisy
-   one), the plan's JSON round-trip, and the end-to-end safety claim —
-   replaying the pruned plan through filter_snapshot/expand_diff flags
-   exactly the variants a full-suite diff would have flagged on an
-   injected step regression. *)
+(* Tests for the suite-time optimizer and its plans: scoring a
+   synthetic history lineage (two stable variants moving in lockstep
+   plus one noisy one) into per-variant budgets, and the plan decoder —
+   printer round-trips, totality on truncated and mutated documents,
+   rejection of experiment counts below 1, and loading a committed
+   schema-1 plan. *)
 
 module History = Mt_obsv.History
 module Snapshot = Mt_obsv.Snapshot
-module Diff = Mt_obsv.Diff
 module Plan = Mt_optimize.Plan
 module Optimizer = Mt_optimize.Optimizer
 
@@ -73,39 +72,31 @@ let optimize_ok ?knobs hist =
     | Ok plan -> plan
     | Error msg -> Alcotest.failf "optimize failed: %s" msg)
 
-let test_optimize_prunes_redundant () =
+(* Variants that move in lockstep are each measured: a plan only sets
+   budgets.  Both stable variants are floored; the noisy one keeps its
+   full adaptive budget. *)
+let test_optimize_floors_stable () =
   let dir = synth_archive () in
   let plan = optimize_ok (load_ok dir) in
   check_int "plan scored the whole lineage" 6 plan.Plan.runs;
   check_string "lineage kernel recorded" "copy" plan.Plan.kernel_name;
-  (* Exactly one of the correlated pair is dropped, onto the other. *)
-  check_int "one variant dropped" 1 (List.length plan.Plan.drop);
-  (match plan.Plan.drop with
-  | [ d ] ->
-    check_string "b is redundant with a" "b" d.Plan.variant;
-    check_string "its canary is a" "a" d.Plan.canary;
-    check_bool "correlation clears the threshold" true
-      (Float.abs d.Plan.correlation >= 0.95)
-  | _ -> Alcotest.fail "expected exactly one drop");
-  check_bool "dropped variant is deselected" false (Plan.selects plan "b");
-  check_bool "kept variant stays selected" true (Plan.selects plan "a");
-  check_bool "unknown variants stay selected" true
-    (Plan.selects plan "added-later");
-  (* The stable canary is floored; the noisy variant keeps its full
-     adaptive budget. *)
-  (match Plan.find_keep plan "a" with
-  | Some k ->
-    check_bool "canary is stable" true k.Plan.stable;
-    check_bool "canary floored to min_experiments"
-      true
-      (k.Plan.experiments = Some Optimizer.default_knobs.Plan.min_experiments)
-  | None -> Alcotest.fail "a must be kept");
-  match Plan.find_keep plan "c" with
+  check_bool "every variant kept, in key order" true
+    (List.map (fun (k : Plan.keep) -> k.Plan.variant) plan.Plan.keep
+    = [ "a"; "b"; "c" ]);
+  List.iter
+    (fun v ->
+      check_bool (v ^ " floored to min_experiments") true
+        (Plan.experiments_override plan v
+        = Some Optimizer.default_knobs.Plan.min_experiments))
+    [ "a"; "b" ];
+  (match Plan.find_keep plan "c" with
   | Some k ->
     check_bool "noisy variant is not stable" false k.Plan.stable;
     check_bool "noisy variant keeps the full budget" true
       (k.Plan.experiments = None)
-  | None -> Alcotest.fail "c must be kept"
+  | None -> Alcotest.fail "c must be kept");
+  check_bool "unknown variants keep the default budget" true
+    (Plan.experiments_override plan "added-later" = None)
 
 let test_optimize_short_lineage_keeps_all () =
   let dir = temp_dir "mtopt" in
@@ -115,7 +106,6 @@ let test_optimize_short_lineage_keeps_all () =
          (run_snapshot [ ("a", 2.0, 0.001); ("b", 4.0, 0.001) ]))
   done;
   let plan = optimize_ok (load_ok dir) in
-  check_int "nothing dropped under min_runs" 0 (List.length plan.Plan.drop);
   check_int "everything kept" 2 (List.length plan.Plan.keep);
   List.iter
     (fun (k : Plan.keep) ->
@@ -130,87 +120,165 @@ let test_plan_json_round_trip () =
   | Ok plan' ->
     check_bool "plan survives the JSON round-trip" true (plan = plan')
 
-(* The acceptance claim: on an injected step regression of the canary
-   (which the dropped twin shares, since they are correlated), the
-   pruned report path — filter both snapshots, diff, expand — flags the
-   same variants with the same exit verdict as the full-suite diff. *)
-let test_pruned_report_matches_full () =
-  let dir = synth_archive () in
-  let plan = optimize_ok (load_ok dir) in
-  let baseline =
-    run_snapshot [ ("a", 2.0, 0.001); ("b", 4.0, 0.001); ("c", 5.0, 0.3) ]
+(* Random plans, for the decoder's printer round-trip and totality
+   properties.  Strings take any byte (the printer escapes control
+   bytes); numbers stay finite, which JSON can carry exactly. *)
+let gen_plan =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let num = float_range (-1e6) 1e6 in
+  let count = 1 -- 1000 in
+  let keep =
+    map
+      (fun (variant, experiments, stable, (cov, rciw, trend)) ->
+        { Plan.variant; experiments; stable; cov; rciw; trend })
+      (quad str (opt count) bool (triple num num str))
   in
-  let current_full =
-    run_snapshot [ ("a", 2.5, 0.001); ("b", 5.0, 0.001); ("c", 5.0, 0.3) ]
+  let knobs =
+    map
+      (fun (min_runs, cov_stable, rciw_stable, min_experiments) ->
+        { Plan.min_runs; cov_stable; rciw_stable; min_experiments })
+      (quad (0 -- 100) num num count)
   in
-  (* The pruned run never measured b at all. *)
-  let current_pruned =
-    run_snapshot [ ("a", 2.5, 0.001); ("c", 5.0, 0.3) ]
-  in
-  let flagged d =
-    List.filter_map
-      (fun (e : Diff.entry) ->
-        match e.Diff.verdict with
-        | Diff.Regression -> Some e.Diff.key
-        | _ -> None)
-      d.Diff.entries
-    |> List.sort compare
-  in
-  let full = Diff.compare ~baseline current_full in
-  let pruned =
-    Plan.expand_diff plan
-      (Diff.compare
-         ~baseline:(Plan.filter_snapshot plan baseline)
-         (Plan.filter_snapshot plan current_pruned))
-  in
-  check_bool "full suite sees the regression" true (Diff.has_regressions full);
-  check_bool "pruned suite reaches the same exit verdict" true
-    (Diff.has_regressions pruned);
-  check_bool "flagged sets are identical" true (flagged full = flagged pruned);
-  check_bool "the twin's flag is inherited, not measured" true
-    (List.exists
-       (fun (e : Diff.entry) ->
-         e.Diff.key = "b" && e.Diff.current = None && e.Diff.baseline = None)
-       pruned.Diff.entries);
-  check_bool "inheritance is recorded in the provenance notes" true
-    (List.exists
-       (fun note ->
-         let has_sub sub =
-           let n = String.length note and m = String.length sub in
-           let rec go i = i + m <= n && (String.sub note i m = sub || go (i + 1)) in
-           m = 0 || go 0
-         in
-         has_sub "b" && has_sub "canary")
-       pruned.Diff.provenance_notes)
+  map
+    (fun ((schema, created_at, history_dir, runs),
+          (kernel_name, kernel_hash, machine_name, machine_hash),
+          (knobs, keep)) ->
+      {
+        Plan.schema;
+        created_at;
+        history_dir;
+        runs;
+        kernel_name;
+        kernel_hash;
+        machine_name;
+        machine_hash;
+        knobs;
+        keep;
+      })
+    (triple
+       (quad (1 -- 5) num str (0 -- 100))
+       (quad str str str str)
+       (pair knobs (list_size (0 -- 6) keep)))
 
-(* A quiet current run must stay quiet through the pruned path: no
-   synthesized entries, no regressions. *)
-let test_pruned_report_clean_run () =
-  let dir = synth_archive () in
-  let plan = optimize_ok (load_ok dir) in
-  let baseline =
-    run_snapshot [ ("a", 2.0, 0.001); ("b", 4.0, 0.001); ("c", 5.0, 0.3) ]
+let arbitrary_plan = QCheck.make ~print:Plan.to_string gen_plan
+
+let prop_plan_round_trip =
+  QCheck.Test.make ~count:300 ~name:"plan: of_string (to_string p) = p"
+    arbitrary_plan (fun plan -> Plan.of_string (Plan.to_string plan) = Ok plan)
+
+let decodes s =
+  match Plan.of_string s with
+  | Ok _ -> true
+  | Error _ -> false
+
+(* A plan document ends in "}\n", so every prefix that loses the
+   closing brace is malformed. *)
+let prop_plan_truncated =
+  QCheck.Test.make ~count:300 ~name:"plan: truncated documents are errors"
+    QCheck.(pair arbitrary_plan (float_bound_exclusive 1.))
+    (fun (plan, frac) ->
+      let doc = Plan.to_string plan in
+      let len = int_of_float (frac *. float_of_int (String.length doc - 1)) in
+      not (decodes (String.sub doc 0 len)))
+
+(* A control byte other than tab, newline or CR is invalid everywhere
+   in JSON, inside strings too; any other byte may still leave a valid
+   plan, but never makes the decoder raise. *)
+let prop_plan_mutated =
+  let control =
+    QCheck.Gen.(oneof [ 0 -- 8; 11 -- 12; 14 -- 31 ] |> map Char.chr)
   in
-  let current_pruned = run_snapshot [ ("a", 2.0, 0.001); ("c", 5.0, 0.3) ] in
-  let pruned =
-    Plan.expand_diff plan
-      (Diff.compare
-         ~baseline:(Plan.filter_snapshot plan baseline)
-         (Plan.filter_snapshot plan current_pruned))
+  QCheck.Test.make ~count:300
+    ~name:"plan: byte-mutated documents are errors, never exceptions"
+    QCheck.(
+      triple arbitrary_plan (float_bound_exclusive 1.)
+        (make QCheck.Gen.(pair control char)))
+    (fun (plan, frac, (bad, any)) ->
+      let doc = Plan.to_string plan in
+      let at = int_of_float (frac *. float_of_int (String.length doc)) in
+      let mutate c = String.mapi (fun i x -> if i = at then c else x) doc in
+      (not (decodes (mutate bad)))
+      && match Plan.of_string (mutate any) with Ok _ | Error _ -> true)
+
+(* An experiment count below 1 cannot run; the decoder refuses it
+   wherever it appears, so neither a plan file nor a serve submission
+   can carry one. *)
+let test_plan_rejects_zero_floor () =
+  let plan = optimize_ok (load_ok (synth_archive ())) in
+  check_bool "the unedited plan decodes" true (decodes (Plan.to_string plan));
+  let floor n =
+    List.map
+      (fun (k : Plan.keep) ->
+        { k with experiments = Option.map (Fun.const n) k.Plan.experiments })
+      plan.Plan.keep
   in
-  check_bool "clean pruned run gates clean" false (Diff.has_regressions pruned);
-  check_bool "no synthesized entries without a believed move" true
-    (not (List.exists (fun (e : Diff.entry) -> e.Diff.key = "b") pruned.Diff.entries))
+  List.iter
+    (fun (what, bad) ->
+      check_bool what false (decodes (Plan.to_string bad)))
+    [
+      ("experiments 0", { plan with Plan.keep = floor 0 });
+      ("experiments -3", { plan with Plan.keep = floor (-3) });
+      ( "min_experiments 0",
+        {
+          plan with
+          Plan.knobs = { plan.Plan.knobs with Plan.min_experiments = 0 };
+        } );
+    ]
+
+(* The optimizer refuses to write such a plan in the first place. *)
+let test_optimize_rejects_zero_floor () =
+  let hist = load_ok (synth_archive ()) in
+  match History.latest_lineage hist with
+  | None -> Alcotest.fail "latest_lineage on a non-empty archive"
+  | Some lineage ->
+    let knobs = { Optimizer.default_knobs with Plan.min_experiments = 0 } in
+    check_bool "floor 0 is an error" true
+      (Result.is_error (Optimizer.optimize ~knobs hist lineage))
+
+(* A plan written before plans became budgets only: schema 1, a
+   "corr_threshold" knob, and a "drop" list.  It still loads; its keep
+   entries come through unchanged, and its dropped variants run at the
+   default budget like any variant the plan does not list. *)
+let test_plan_schema1_loads () =
+  match Plan.load "plan-schema1.json" with
+  | Error msg -> Alcotest.failf "schema-1 plan did not decode: %s" msg
+  | Ok plan ->
+    check_int "schema as written" 1 plan.Plan.schema;
+    check_int "floor knob kept" 2 plan.Plan.knobs.Plan.min_experiments;
+    check_bool "keep entries unchanged" true
+      (plan.Plan.keep
+      = [
+          {
+            Plan.variant = "storestream-u_1";
+            experiments = Some 2;
+            stable = true;
+            cov = 0.00056067560062540635;
+            rciw = 0.001311718753645192;
+            trend = "stationary";
+          };
+        ]);
+    List.iter
+      (fun u ->
+        let v = Printf.sprintf "storestream-u_%d" u in
+        check_bool (v ^ " runs at the default budget") true
+          (Plan.experiments_override plan v = None))
+      [ 2; 3; 4; 5; 6; 7; 8 ]
 
 let tests =
   [
-    Alcotest.test_case "optimize: prunes the redundant twin" `Quick
-      test_optimize_prunes_redundant;
+    Alcotest.test_case "optimize: floors every stable variant" `Quick
+      test_optimize_floors_stable;
     Alcotest.test_case "optimize: short lineage keeps all" `Quick
       test_optimize_short_lineage_keeps_all;
+    Alcotest.test_case "optimize: floor below 1 is an error" `Quick
+      test_optimize_rejects_zero_floor;
     Alcotest.test_case "plan: JSON round-trip" `Quick test_plan_json_round_trip;
-    Alcotest.test_case "plan: pruned report matches full suite" `Quick
-      test_pruned_report_matches_full;
-    Alcotest.test_case "plan: clean pruned run gates clean" `Quick
-      test_pruned_report_clean_run;
+    Alcotest.test_case "plan: experiment counts below 1 are rejected" `Quick
+      test_plan_rejects_zero_floor;
+    Alcotest.test_case "plan: schema-1 document loads" `Quick
+      test_plan_schema1_loads;
+    QCheck_alcotest.to_alcotest prop_plan_round_trip;
+    QCheck_alcotest.to_alcotest prop_plan_truncated;
+    QCheck_alcotest.to_alcotest prop_plan_mutated;
   ]

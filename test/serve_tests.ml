@@ -77,14 +77,6 @@ let sample_plan =
           trend = "drift";
         };
       ];
-    drop =
-      [
-        {
-          Mt_optimize.Plan.variant = "movss_u2";
-          canary = "movss_u1";
-          correlation = 0.99;
-        };
-      ];
   }
 
 let roundtrip_request req =

@@ -221,60 +221,6 @@ let prop_stddev_nonneg =
   QCheck.Test.make ~count:300 ~name:"stddev >= 0" nonempty_floats (fun l ->
       S.stddev (Array.of_list l) >= 0.)
 
-(* ------------------------------------------------------------------ *)
-(* Spearman rank correlation                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_spearman_monotone () =
-  (* Any strictly monotone relation is rank-perfect, linear or not. *)
-  checkf "monotone nonlinear is 1.0" 1.
-    (S.spearman [| 1.; 2.; 3.; 4. |] [| 1.; 4.; 9.; 16. |]);
-  checkf "reversed order is -1.0" (-1.)
-    (S.spearman [| 1.; 2.; 3.; 4. |] [| 8.; 6.; 4.; 2. |])
-
-let test_spearman_ties_average_rank () =
-  (* Ranks x = [1;2;3;4]; the tied pair in y shares rank 1.5, so ranks
-     y = [1.5;1.5;3;4].  Pearson of those rank vectors is
-     4.5 / sqrt(5 * 4.5) = 3 / sqrt(10). *)
-  let rho = S.spearman [| 1.; 2.; 3.; 4. |] [| 5.; 5.; 7.; 9. |] in
-  checkf "ties take their average rank" (3. /. sqrt 10.) rho
-
-let test_spearman_degenerate () =
-  checkf "both constant is 1.0" 1. (S.spearman [| 3.; 3.; 3. |] [| 7.; 7.; 7. |]);
-  checkf "constant vs moving is 0.0" 0.
-    (S.spearman [| 3.; 3.; 3. |] [| 1.; 2.; 3. |]);
-  checkf "shorter than 2 is 0.0" 0. (S.spearman [| 1. |] [| 2. |]);
-  Alcotest.check_raises "length mismatch raises"
-    (Invalid_argument "Mt_stats.spearman: length mismatch")
-    (fun () -> ignore (S.spearman [| 1.; 2. |] [| 1. |]))
-
-let spearman_series =
-  QCheck.(list_of_size Gen.(2 -- 30) (float_range (-1e6) 1e6))
-
-let prop_spearman_self =
-  QCheck.Test.make ~count:300 ~name:"spearman self-correlation is 1.0"
-    spearman_series (fun l ->
-      let xs = Array.of_list l in
-      abs_float (S.spearman xs xs -. 1.0) < 1e-9)
-
-let prop_spearman_symmetric =
-  QCheck.Test.make ~count:300 ~name:"spearman is argument-symmetric"
-    QCheck.(pair spearman_series spearman_series)
-    (fun (la, lb) ->
-      let n = min (List.length la) (List.length lb) in
-      let take l = Array.of_list (List.filteri (fun i _ -> i < n) l) in
-      let xs = take la and ys = take lb in
-      abs_float (S.spearman xs ys -. S.spearman ys xs) < 1e-9)
-
-let prop_spearman_bounded =
-  QCheck.Test.make ~count:300 ~name:"spearman stays in [-1, 1]"
-    QCheck.(pair spearman_series spearman_series)
-    (fun (la, lb) ->
-      let n = min (List.length la) (List.length lb) in
-      let take l = Array.of_list (List.filteri (fun i _ -> i < n) l) in
-      let rho = S.spearman (take la) (take lb) in
-      rho >= -1.0 -. 1e-9 && rho <= 1.0 +. 1e-9)
-
 (* The published SplitMix64 reference outputs for state 0: every seeded
    stream in the project (noise, bootstrap, backoff, random selection)
    draws from this one generator. *)
@@ -322,14 +268,8 @@ let tests =
     Alcotest.test_case "csv round-trip" `Quick test_csv_roundtrip;
     Alcotest.test_case "csv parse errors" `Quick test_csv_parse_errors;
     Alcotest.test_case "csv save" `Quick test_csv_save;
-    Alcotest.test_case "spearman monotone" `Quick test_spearman_monotone;
-    Alcotest.test_case "spearman ties" `Quick test_spearman_ties_average_rank;
-    Alcotest.test_case "spearman degenerate" `Quick test_spearman_degenerate;
     Alcotest.test_case "splitmix reference sequence" `Quick
       test_splitmix_reference;
-    QCheck_alcotest.to_alcotest prop_spearman_self;
-    QCheck_alcotest.to_alcotest prop_spearman_symmetric;
-    QCheck_alcotest.to_alcotest prop_spearman_bounded;
     QCheck_alcotest.to_alcotest prop_min_le_median_le_max;
     QCheck_alcotest.to_alcotest prop_mean_bounded;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
