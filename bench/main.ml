@@ -12,8 +12,8 @@
        --max-experiments 64   (quality-driven experiment counts)
 
    All run-shaping flags (--jobs, caching, adaptive measurement, the
-   resilience policy, --inject-fault, --trace-out, ...) are the shared
-   Mt_cli set. *)
+   --timeout and --sim-budget budgets, --inject-fault, --trace-out, ...)
+   are the shared Mt_cli set. *)
 
 open Mt_machine
 

@@ -1,13 +1,13 @@
 (* MicroLauncher command line: run one benchmark kernel (a MicroCreator
    .s file, or a plain C kernel) in the stable measurement environment.
 
-   Run-shaping flags (--cache-dir, --retries, --timeout, --inject-fault,
+   Run-shaping flags (--cache-dir, --timeout, --inject-fault,
    --trace-out, ...) are the shared Mt_cli set; the single launch runs
-   under the same supervisor as a study variant, so a crashing or hung
-   kernel is retried and finally reported as quarantined instead of
-   taking the process down with a backtrace.  --journal/--resume,
-   --jobs and the result cache have nothing to checkpoint, parallelise
-   or memoise over a single ad-hoc launch and are accepted but inert. *)
+   once under the same supervisor as a study variant, so a crashing or
+   hung kernel is reported as quarantined instead of taking the process
+   down with a backtrace.  --journal/--resume, --jobs and the result
+   cache have nothing to checkpoint, parallelise or memoise over a
+   single ad-hoc launch and are accepted but inert. *)
 
 open Cmdliner
 open Mt_launcher
@@ -101,17 +101,18 @@ let run input function_name machine machine_file freq array_kb alignments repeti
     let code =
       match
         Mt_resilience.Supervisor.supervise ?fault
-          ~policy:config.Microtools.Study.Run_config.policy ~key:input
+          ?wall_budget_s:config.Microtools.Study.Run_config.wall_budget_s
+          ~key:input
           (fun () -> Launcher.launch opts source)
       with
       | Mt_resilience.Supervisor.Quarantined q ->
         Printf.eprintf "microlauncher: %s\n"
           (Mt_resilience.Supervisor.quarantine_to_string q);
         1
-      | Mt_resilience.Supervisor.Done (Error msg, _) ->
+      | Mt_resilience.Supervisor.Done (Error msg) ->
         Printf.eprintf "microlauncher: %s\n" msg;
         1
-      | Mt_resilience.Supervisor.Done (Ok report, _) ->
+      | Mt_resilience.Supervisor.Done (Ok report) ->
         Format.printf "%a@." Report.pp report;
         Mt_cli.report_profiles config
           (match report.Report.profile with

@@ -1,7 +1,7 @@
 (* Reproduce the paper's figures and tables on the machine model:
    `mt_experiments fig11`, `mt_experiments --all`, etc.
 
-   Run-shaping flags (--jobs, --cache-dir, --retries, --inject-fault,
+   Run-shaping flags (--jobs, --cache-dir, --timeout, --inject-fault,
    --trace-out, ...) are the shared Mt_cli set.  Exit 4 = partial
    success: some experiments completed, some were quarantined. *)
 

@@ -4,7 +4,7 @@
 
      mt_study descriptions/loadstore.xml --array-kb 32 --per element
 
-   Run-shaping flags (--jobs, --cache-dir, --retries, --inject-fault,
+   Run-shaping flags (--jobs, --cache-dir, --timeout, --inject-fault,
    --journal/--resume, --trace-out, ...) are the shared Mt_cli set.
 
    Exit codes, the same locally and with --submit: 0 success, 1 nothing

@@ -1,14 +1,12 @@
 (* The run-shaping command line every MicroTools binary shares:
-   parallelism, caching, adaptive measurement, the resilience policy,
-   fault injection, checkpoint/resume and the observability outputs all
-   parse here, into one Study.Run_config.t.  Binaries keep only their
+   parallelism, caching, adaptive measurement, the run budgets, fault
+   injection, checkpoint/resume and the observability outputs all parse
+   here, into one Study.Run_config.t.  Binaries keep only their
    kernel-specific flags (input file, machine, array sizes, ...). *)
 
 open Cmdliner
 
 type t = Microtools.Study.Run_config.t
-
-let default_policy = Mt_resilience.Policy.default
 
 (* ------------------------------------------------------------------ *)
 (* Flag definitions                                                    *)
@@ -83,48 +81,37 @@ let max_exps_arg =
     & info [ "max-experiments" ] ~docv:"N" ~docs:docs_run
         ~doc:"Adaptive budget ceiling per measurement.")
 
-let retries_arg =
-  Arg.(
-    value
-    & opt int default_policy.Mt_resilience.Policy.retries
-    & info [ "retries" ] ~docv:"N" ~docs:docs_resilience
-        ~doc:
-          "Retry a crashing or over-budget unit of work $(docv) times \
-           (with deterministic exponential backoff) before quarantining \
-           it.")
-
-let backoff_ms_arg =
-  Arg.(
-    value
-    & opt float (default_policy.Mt_resilience.Policy.backoff_base_s *. 1000.)
-    & info [ "retry-backoff-ms" ] ~docv:"MS" ~docs:docs_resilience
-        ~doc:
-          "Base backoff delay before the first retry, in milliseconds; \
-           doubles per retry, with deterministic seeded jitter.")
-
-let resilience_seed_arg =
-  Arg.(
-    value
-    & opt int default_policy.Mt_resilience.Policy.backoff_seed
-    & info [ "resilience-seed" ] ~docv:"SEED" ~docs:docs_resilience
-        ~doc:"Seed of the deterministic backoff-jitter stream.")
+(* A budget no run can meet is a usage error (exit 124): zero or less
+   would quarantine every unit of work, and NaN would switch the check
+   off. *)
+let budget_conv conv ~ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "%s is not a positive, finite budget" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt
+        (some (budget_conv float ~ok:(fun s -> Float.is_finite s && s > 0.)))
+        None
     & info [ "timeout" ] ~docv:"SECONDS" ~docs:docs_resilience
         ~doc:
-          "Wall-clock budget per attempt; an attempt that runs longer is \
-           treated as hung and retried/quarantined.")
+          "Wall-clock budget per unit of work; a unit that runs longer is \
+           treated as hung and quarantined.")
 
 let sim_budget_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (budget_conv int ~ok:(fun n -> n > 0))) None
     & info [ "sim-budget" ] ~docv:"INSNS" ~docs:docs_resilience
         ~doc:
-          "Simulated-instruction budget per attempt, clamped onto the \
+          "Simulated-instruction budget per unit of work, clamped onto the \
            launcher's max_instructions fuel.")
 
 let fault_conv =
@@ -146,9 +133,8 @@ let faults_arg =
         ~doc:
           "Deterministically break the K-th unit of work (repeatable): \
            $(i,variant=K:kind) with kind one of $(b,raise), $(b,timeout) \
-           or $(b,corrupt-cache-entry), optionally $(i,@N) to fault only \
-           the first N attempts (so a retry succeeds).  Used by the \
-           resilience tests and test/cram/chaos.t.")
+           or $(b,corrupt-cache-entry).  Used by the resilience tests and \
+           test/cram/chaos.t.")
 
 let journal_arg =
   Arg.(
@@ -287,7 +273,7 @@ let submit_arg =
           "Instead of measuring locally, submit the study to the mt_serve \
            daemon listening on this Unix-domain socket and stream the \
            results back.  The run-shaping flags (seed, adaptive knobs, \
-           resilience policy, fault injection) travel with the \
+           budgets, fault injection) travel with the \
            submission; $(b,--jobs), $(b,--cache-dir) and the output \
            flags stay local to the daemon/client respectively.")
 
@@ -296,9 +282,9 @@ let submit_arg =
 (* ------------------------------------------------------------------ *)
 
 let build jobs cache_dir cache_max_mb no_cache adaptive rciw_target
-    max_experiments retries backoff_ms resilience_seed timeout sim_budget
-    faults journal resume trace_out metrics_out snapshot_out history_append
-    trace_detail profile profile_folded plan =
+    max_experiments timeout sim_budget faults journal resume trace_out
+    metrics_out snapshot_out history_append trace_detail profile
+    profile_folded plan =
   let cache =
     if no_cache then None
     else
@@ -310,15 +296,11 @@ let build jobs cache_dir cache_max_mb no_cache adaptive rciw_target
            ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb)
            ())
   in
-  let policy =
-    Mt_resilience.Policy.make ~retries
-      ~backoff_base_s:(backoff_ms /. 1000.)
-      ~backoff_seed:resilience_seed ?wall_budget_s:timeout ?sim_budget ()
-  in
   Microtools.Study.Run_config.make ~domains:jobs ?cache
     ?adaptive:(if adaptive then Some (rciw_target, max_experiments) else None)
-    ~policy ~faults ?journal_out:journal ?resume_from:resume ?trace_out
-    ?metrics_out ?snapshot_out ?history_append ~trace_detail
+    ?wall_budget_s:timeout ?sim_budget ~faults ?journal_out:journal
+    ?resume_from:resume ?trace_out ?metrics_out ?snapshot_out ?history_append
+    ~trace_detail
     ~profile:(profile || profile_folded <> None)
     ?profile_folded ?plan ()
 
@@ -326,8 +308,8 @@ let term =
   Term.(
     const build $ jobs_arg $ cache_dir_arg $ cache_max_mb_arg $ no_cache_arg
     $ adaptive_arg
-    $ rciw_target_arg $ max_exps_arg $ retries_arg $ backoff_ms_arg
-    $ resilience_seed_arg $ timeout_arg $ sim_budget_arg $ faults_arg
+    $ rciw_target_arg $ max_exps_arg $ timeout_arg $ sim_budget_arg
+    $ faults_arg
     $ journal_arg $ resume_arg $ trace_arg $ metrics_arg $ snapshot_arg
     $ history_arg $ trace_detail_arg $ profile_arg $ profile_folded_arg
     $ plan_arg)

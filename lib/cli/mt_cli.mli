@@ -3,10 +3,9 @@
 
     One Cmdliner {!term} parses every flag that shapes $(i,how) a run
     executes — [--jobs], [--cache-dir]/[--cache-max-mb]/[--no-cache],
-    the adaptive
-    measurement knobs, the resilience policy ([--retries],
-    [--retry-backoff-ms], [--timeout], [--sim-budget],
-    [--resilience-seed]), fault injection ([--inject-fault]),
+    the adaptive measurement knobs, the run budgets ([--timeout],
+    [--sim-budget]; a budget that is not positive and finite is a
+    usage error), fault injection ([--inject-fault]),
     checkpoint/resume ([--journal], [--resume]) and the observability
     outputs ([--trace-out], [--metrics-out], [--snapshot-out],
     [--history-append], [--trace-detail], [--profile],
@@ -19,8 +18,7 @@ type t = Microtools.Study.Run_config.t
 
 val term : t Cmdliner.Term.t
 (** The shared flag set as a Cmdliner term.  Builds the cache eagerly
-    (unless [--no-cache]) and folds the resilience flags into
-    [config.policy]. *)
+    (unless [--no-cache]). *)
 
 val submit_arg : string option Cmdliner.Term.t
 (** The [--submit SOCKET] flag routing a run to an mt_serve daemon

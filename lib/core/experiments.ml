@@ -1107,10 +1107,10 @@ let run_tables ?(quick = false) ~(config : Study.Run_config.t) ids =
           | fl -> fl
         in
         (match
-           Mt_resilience.Supervisor.supervise ?fault ~policy:config.policy
-             ~key:id
+           Mt_resilience.Supervisor.supervise ?fault
+             ?wall_budget_s:config.wall_budget_s ~key:id
              (fun () -> f ?quick:(Some quick) ())
          with
-        | Mt_resilience.Supervisor.Done (t, _) -> (id, Table t)
+        | Mt_resilience.Supervisor.Done t -> (id, Table t)
         | Mt_resilience.Supervisor.Quarantined q -> (id, Quarantined q)))
     (List.mapi (fun i id -> (i, id)) ids)

@@ -117,7 +117,7 @@ val profiles : unit -> (string * Mt_profile.breakdown) list
 type table_outcome =
   | Table of Exp_table.t
   | Quarantined of Mt_resilience.Supervisor.quarantine
-      (** the experiment kept crashing or hanging and was given up on *)
+      (** the experiment crashed or blew its wall budget *)
   | Unknown  (** no experiment registered under that id *)
 
 val run_tables :
@@ -127,8 +127,8 @@ val run_tables :
   (string * table_outcome) list
 (** Run the named experiments in request order, spread over
     [Run_config.effective_domains config] domains, each under
-    {!Mt_resilience.Supervisor.supervise} with [config.policy]: one
-    figure whose helpers raise degrades to [Quarantined] instead of
+    {!Mt_resilience.Supervisor.supervise} with [config.wall_budget_s]:
+    one figure whose helpers raise degrades to [Quarantined] instead of
     aborting the batch.  [config.faults] injects failures by position
     in [ids] (corrupt-cache faults are ignored here — they target
     variant cache entries).  Call {!set_run_config} first so the

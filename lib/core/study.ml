@@ -38,7 +38,8 @@ module Run_config = struct
     cache : Mt_parallel.Cache.t option;
     seed : int option;
     adaptive : (float * int) option;
-    policy : Mt_resilience.Policy.t;
+    wall_budget_s : float option;
+    sim_budget : int option;
     faults : Mt_resilience.Fault.t list;
     journal_out : string option;
     resume_from : string option;
@@ -58,7 +59,8 @@ module Run_config = struct
       cache = None;
       seed = None;
       adaptive = None;
-      policy = Mt_resilience.Policy.default;
+      wall_budget_s = None;
+      sim_budget = None;
       faults = [];
       journal_out = None;
       resume_from = None;
@@ -72,8 +74,8 @@ module Run_config = struct
       plan = None;
     }
 
-  let make ?(domains = default.domains) ?cache ?seed ?adaptive
-      ?(policy = default.policy) ?(faults = []) ?journal_out ?resume_from
+  let make ?(domains = default.domains) ?cache ?seed ?adaptive ?wall_budget_s
+      ?sim_budget ?(faults = []) ?journal_out ?resume_from
       ?trace_out ?metrics_out ?snapshot_out ?history_append
       ?(trace_detail = default.trace_detail) ?(profile = default.profile)
       ?profile_folded ?plan () =
@@ -82,7 +84,8 @@ module Run_config = struct
       cache;
       seed;
       adaptive;
-      policy;
+      wall_budget_s;
+      sim_budget;
       faults;
       journal_out;
       resume_from;
@@ -121,7 +124,7 @@ module Run_config = struct
           max_experiments = max max_experiments opts.Options.experiments;
         }
     in
-    match t.policy.Mt_resilience.Policy.sim_budget with
+    match t.sim_budget with
     | None -> opts
     | Some fuel ->
       { opts with Options.max_instructions = min fuel opts.Options.max_instructions }
@@ -255,13 +258,14 @@ let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
         let result, exec =
           match
             Mt_resilience.Supervisor.supervise ?fault
-              ~policy:config.Run_config.policy ~key:(Variant.id variant)
+              ?wall_budget_s:config.Run_config.wall_budget_s
+              ~key:(Variant.id variant)
               (fun () ->
                 launch ?cache:config.Run_config.cache ~key:(fun () -> key)
                   options variant)
           with
-          | Mt_resilience.Supervisor.Done (result, attempts) ->
-            (result, { attempts; quarantined = None; resumed = false })
+          | Mt_resilience.Supervisor.Done result ->
+            (result, { attempts = 1; quarantined = None; resumed = false })
           | Mt_resilience.Supervisor.Quarantined q ->
             ( Error (Mt_resilience.Supervisor.quarantine_to_string q),
               { attempts = q.Mt_resilience.Supervisor.attempts;

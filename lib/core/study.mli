@@ -21,9 +21,9 @@ val variants : t -> Variant.t list
 
 (** How a run executes, gathered into one value instead of a growing
     pile of optional arguments: parallelism, caching, seeding, the
-    adaptive-measurement budget, the resilience policy (retries /
-    backoff / budgets), injected faults, the checkpoint journal, and
-    the observability outputs.  {!Mt_cli} builds one of these from the
+    adaptive-measurement budget, the wall-clock and simulated-instruction
+    budgets, injected faults, the checkpoint journal, and the
+    observability outputs.  {!Mt_cli} builds one of these from the
     shared command-line flags; library callers use {!Run_config.make}
     or update {!Run_config.default} as a record,
     [{ Run_config.default with seed = Some 7 }]. *)
@@ -36,7 +36,13 @@ module Run_config : sig
     adaptive : (float * int) option;
         (** [(rciw_target, max_experiments)]: turn on adaptive
             measurement with this stop rule and budget *)
-    policy : Mt_resilience.Policy.t;  (** supervision policy *)
+    wall_budget_s : float option;
+        (** wall-clock budget per unit of work, checked after it
+            returns: a unit that took longer is quarantined as a
+            timeout *)
+    sim_budget : int option;
+        (** simulated-instruction budget per unit of work, clamped
+            onto [Options.max_instructions] by {!apply_options} *)
     faults : Mt_resilience.Fault.t list;  (** injected faults *)
     journal_out : string option;  (** write a checkpoint journal here *)
     resume_from : string option;  (** skip work recorded in this journal *)
@@ -60,16 +66,16 @@ module Run_config : sig
   }
 
   val default : t
-  (** 1 domain, no cache, no seed override, no adaptive override,
-      {!Mt_resilience.Policy.default}, no faults, no journal, no
-      outputs. *)
+  (** 1 domain, no cache, no seed override, no adaptive override, no
+      budgets, no faults, no journal, no outputs. *)
 
   val make :
     ?domains:int ->
     ?cache:Mt_parallel.Cache.t ->
     ?seed:int ->
     ?adaptive:float * int ->
-    ?policy:Mt_resilience.Policy.t ->
+    ?wall_budget_s:float ->
+    ?sim_budget:int ->
     ?faults:Mt_resilience.Fault.t list ->
     ?journal_out:string ->
     ?resume_from:string ->
@@ -91,8 +97,8 @@ module Run_config : sig
   val apply_options : t -> Options.t -> Options.t
   (** The launcher options as the run will actually use them: [seed]
       into [quality_seed], [adaptive] into the adaptive knobs,
-      [profile] into [Options.profile], the policy's [sim_budget]
-      clamped onto [max_instructions].  {!run}
+      [profile] into [Options.profile], [sim_budget] clamped onto
+      [max_instructions].  {!run}
       applies this itself; exposed for callers that build options
       elsewhere (e.g. [microlauncher]). *)
 
@@ -131,11 +137,10 @@ val run : ?config:Run_config.t -> t -> outcome list
     [config.cache] short-circuits variants whose (program text,
     options, machine) triple was measured before.
 
-    Supervision: each variant launch runs under
-    {!Mt_resilience.Supervisor.supervise} with [config.policy] — a
-    crashing or over-budget variant is retried with deterministic
-    backoff and, when retries are exhausted, degrades to an [Error]
-    outcome flagged in [exec.quarantined] instead of killing the study.
+    Supervision: each variant launch runs once under
+    {!Mt_resilience.Supervisor.supervise} with [config.wall_budget_s] —
+    a crashing or over-budget variant degrades to an [Error] outcome
+    flagged in [exec.quarantined] instead of killing the study.
     [config.faults] injects deterministic failures by variant index
     (corrupt-cache faults plant garbage at the variant's cache key
     before launching it).
@@ -159,7 +164,7 @@ val run : ?config:Run_config.t -> t -> outcome list
     When the global {!Mt_telemetry} handle is enabled, the run is a
     [study.run] span containing [study.variant] and
     [resilience.attempt] spans, [sim.variants] plus the
-    [resilience.retry/timeout/quarantine/fault.injected/resume.*]
+    [resilience.timeout/quarantine/fault.injected/resume.*]
     counters. *)
 
 val cache_key : Options.t -> Variant.t -> string

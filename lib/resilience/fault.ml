@@ -13,26 +13,22 @@ let kind_of_string = function
   | "corrupt-cache-entry" | "corrupt-cache" -> Ok Corrupt_cache_entry
   | s -> Error (Printf.sprintf "unknown fault kind %S (raise|timeout|corrupt-cache-entry)" s)
 
-type t = { index : int; kind : kind; times : int option }
+type t = { index : int; kind : kind }
 
-let make ?times ~index kind = { index; kind; times }
-
-(* Spec syntax: variant=K:kind[@N] — fault the K-th unit of work (its
-   position in the study's variant list) with [kind], on its first N
-   attempts only (default: every attempt, so retries cannot mask the
-   fault). *)
+(* Spec syntax: variant=K:kind — fault the K-th unit of work (its
+   position in the study's variant list) with [kind]. *)
 let of_spec s =
   let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match String.index_opt s '=' with
-  | None -> err "bad fault spec %S (expected variant=K:kind[@N])" s
+  | None -> err "bad fault spec %S (expected variant=K:kind)" s
   | Some eq ->
     if String.sub s 0 eq <> "variant" then
       err "bad fault spec %S: only variant=... selectors are supported" s
     else begin
       let rest = String.sub s (eq + 1) (String.length s - eq - 1) in
       match String.index_opt rest ':' with
-      | None -> err "bad fault spec %S (expected variant=K:kind[@N])" s
+      | None -> err "bad fault spec %S (expected variant=K:kind)" s
       | Some colon ->
         let index_str = String.sub rest 0 colon in
         let kind_str = String.sub rest (colon + 1) (String.length rest - colon - 1) in
@@ -41,26 +37,10 @@ let of_spec s =
           | Some i when i >= 0 -> Ok i
           | _ -> err "bad fault spec %S: %S is not a variant index" s index_str
         in
-        let kind_str, times =
-          match String.index_opt kind_str '@' with
-          | None -> (kind_str, Ok None)
-          | Some at ->
-            let n = String.sub kind_str (at + 1) (String.length kind_str - at - 1) in
-            ( String.sub kind_str 0 at,
-              match int_of_string_opt n with
-              | Some n when n >= 1 -> Ok (Some n)
-              | _ -> err "bad fault spec %S: %S is not an attempt count" s n )
-        in
-        let* times = times in
         let* kind = kind_of_string kind_str in
-        Ok { index; kind; times }
+        Ok { index; kind }
     end
 
-let to_spec t =
-  Printf.sprintf "variant=%d:%s%s" t.index (kind_to_string t.kind)
-    (match t.times with None -> "" | Some n -> Printf.sprintf "@%d" n)
+let to_spec t = Printf.sprintf "variant=%d:%s" t.index (kind_to_string t.kind)
 
 let find faults ~index = List.find_opt (fun f -> f.index = index) faults
-
-let fires t ~attempt =
-  match t.times with None -> true | Some n -> attempt <= n

@@ -4,16 +4,17 @@
     instead of aborting.
 
     Faults are injected at the supervision layer, not inside the
-    simulator, so an injected run exercises exactly the retry /
-    quarantine / cache-recovery paths a real crash would. *)
+    simulator, so an injected run exercises exactly the quarantine /
+    cache-recovery paths a real crash would.  A unit of work runs once,
+    so a fault breaks it for the whole run. *)
 
 type kind =
   | Raise  (** the attempt raises {!Injected} *)
   | Timeout  (** the attempt is treated as having blown its wall budget *)
   | Corrupt_cache_entry
       (** garbage is stored at the work unit's cache key before the
-          first attempt, exercising {!Mt_parallel.Cache} decode
-          recovery (a no-op when the run has no cache) *)
+          attempt, exercising {!Mt_parallel.Cache} decode recovery (a
+          no-op when the run has no cache) *)
 
 exception Injected of string
 (** What {!Raise} faults throw. *)
@@ -21,17 +22,11 @@ exception Injected of string
 type t = {
   index : int;  (** position of the faulted unit in the work list *)
   kind : kind;
-  times : int option;
-      (** inject on the first [times] attempts only ([None] = every
-          attempt, so retries cannot mask the fault) *)
 }
 
-val make : ?times:int -> index:int -> kind -> t
-
 val of_spec : string -> (t, string) result
-(** Parse the CLI syntax [variant=K:kind[@N]], e.g. [variant=0:raise],
-    [variant=3:timeout@1] (fault the first attempt only; a retry then
-    succeeds), [variant=2:corrupt-cache-entry]. *)
+(** Parse the CLI syntax [variant=K:kind], e.g. [variant=0:raise],
+    [variant=3:timeout], [variant=2:corrupt-cache-entry]. *)
 
 val to_spec : t -> string
 (** Inverse of {!of_spec} (canonical kind spelling). *)
@@ -42,6 +37,3 @@ val kind_of_string : string -> (kind, string) result
 
 val find : t list -> index:int -> t option
 (** The fault targeting work-unit [index], if any. *)
-
-val fires : t -> attempt:int -> bool
-(** Does this fault inject on the given 1-based attempt? *)

@@ -1,6 +1,6 @@
 type quarantine = { kind : string; detail : string; attempts : int }
 
-type 'a outcome = Done of 'a * int | Quarantined of quarantine
+type 'a outcome = Done of 'a | Quarantined of quarantine
 
 let quarantine_to_string q =
   Printf.sprintf "quarantined (%s) after %d attempt%s: %s" q.kind q.attempts
@@ -13,14 +13,14 @@ let quarantine_to_string q =
    simulation cost exploded — the production failure mode here — and
    injected Timeout faults short-circuit deterministically without
    sleeping at all. *)
-let attempt_result ?fault ~(policy : Policy.t) f ~attempt =
+let attempt_result ?fault ?wall_budget_s f =
   let tel = Mt_telemetry.global () in
   let run () =
     let t0 = Unix.gettimeofday () in
     match f () with
     | v -> (
       let elapsed = Unix.gettimeofday () -. t0 in
-      match policy.Policy.wall_budget_s with
+      match wall_budget_s with
       | Some budget when elapsed > budget ->
         Error
           ( "timeout",
@@ -37,40 +37,23 @@ let attempt_result ?fault ~(policy : Policy.t) f ~attempt =
     | Fault.Timeout ->
       Error
         ( "timeout",
-          Printf.sprintf "injected timeout (wall budget %s exceeded)"
-            (match policy.Policy.wall_budget_s with
-            | Some s -> Printf.sprintf "%gs" s
-            | None -> "0s") )
+          Printf.sprintf "injected timeout (wall budget %gs exceeded)"
+            (Option.value wall_budget_s ~default:0.) )
     | Fault.Corrupt_cache_entry ->
       (* Corruption is planted by the caller before supervision starts
          (it needs the cache handle); at this layer it is a plain run. *)
       run ()
   in
-  match fault with
-  | Some fl when Fault.fires fl ~attempt -> inject fl.Fault.kind
-  | _ -> run ()
+  match fault with Some fl -> inject fl.Fault.kind | None -> run ()
 
-let supervise ?fault ?(policy = Policy.default) ~key f =
+let supervise ?fault ?wall_budget_s ~key f =
   let tel = Mt_telemetry.global () in
-  let rec go attempt =
-    let result =
-      Mt_telemetry.span tel "resilience.attempt"
-        ~args:[ ("key", key); ("attempt", string_of_int attempt) ]
-        (fun () -> attempt_result ?fault ~policy f ~attempt)
-    in
-    match result with
-    | Ok v -> Done (v, attempt)
-    | Error (kind, detail) ->
-      if kind = "timeout" then Mt_telemetry.incr tel "resilience.timeout";
-      if attempt > policy.Policy.retries then begin
-        Mt_telemetry.incr tel "resilience.quarantine";
-        Quarantined { kind; detail; attempts = attempt }
-      end
-      else begin
-        Mt_telemetry.incr tel "resilience.retry";
-        let d = Policy.delay policy ~key ~attempt in
-        if d > 0. then Unix.sleepf d;
-        go (attempt + 1)
-      end
-  in
-  go 1
+  match
+    Mt_telemetry.span tel "resilience.attempt" ~args:[ ("key", key) ]
+      (fun () -> attempt_result ?fault ?wall_budget_s f)
+  with
+  | Ok v -> Done v
+  | Error (kind, detail) ->
+    if kind = "timeout" then Mt_telemetry.incr tel "resilience.timeout";
+    Mt_telemetry.incr tel "resilience.quarantine";
+    Quarantined { kind; detail; attempts = 1 }

@@ -1,46 +1,50 @@
-(** Per-unit-of-work supervision: run a thunk under a {!Policy},
-    retrying failures with deterministic backoff and degrading a unit
-    that keeps crashing or hanging to a {e quarantine} verdict instead
-    of letting the exception kill the whole study.
+(** Per-unit-of-work supervision: run a thunk once and degrade a unit
+    that crashes or hangs to a {e quarantine} verdict instead of
+    letting the exception kill the whole study.
+
+    A failed unit is not run again.  The simulator makes each attempt a
+    pure function of its inputs, so a second attempt could only repeat
+    the failure; stable numbers come from the launcher's measurement
+    protocol (warm-up, repetitions, experiments).
 
     Failure modes covered:
     - the thunk raises ("raise" quarantine kind);
     - the thunk finishes but blew its wall-clock budget ("timeout").
       The simulator is pure OCaml in the calling domain, so a hung
       attempt cannot be preempted mid-flight — the budget is enforced
-      {e post hoc}, after the attempt returns.  Simulated-cycle budgets
-      ([Policy.sim_budget]) are the preemptive complement: the caller
-      maps them onto [Options.max_instructions] so a runaway variant
-      stops inside the simulator.
+      {e post hoc}, after the attempt returns.  Simulated-instruction
+      budgets ([Run_config.sim_budget]) are the preemptive complement:
+      the caller maps them onto [Options.max_instructions] so a runaway
+      variant stops inside the simulator.
 
     An [Error _] {e value} returned by the thunk is not a supervision
     failure — it flows through untouched.  Supervision is about crashes
     and hangs, not about measurements that report their own errors.
 
     Telemetry (on the global {!Mt_telemetry} handle): one
-    [resilience.attempt] span per attempt (args: key, attempt), and
-    [resilience.retry] / [resilience.timeout] / [resilience.quarantine]
-    / [resilience.fault.injected] counters. *)
+    [resilience.attempt] span (arg: key), and [resilience.timeout] /
+    [resilience.quarantine] / [resilience.fault.injected] counters. *)
 
 type quarantine = {
   kind : string;  (** "raise" or "timeout" *)
   detail : string;  (** the exception text or budget diagnostic *)
-  attempts : int;  (** total attempts spent (1 + retries) *)
+  attempts : int;  (** attempts spent: always 1 *)
 }
 
-type 'a outcome =
-  | Done of 'a * int  (** the value and the attempt that produced it *)
-  | Quarantined of quarantine
+type 'a outcome = Done of 'a | Quarantined of quarantine
 
 val quarantine_to_string : quarantine -> string
 (** ["quarantined (kind) after N attempts: detail"]. *)
 
 val supervise :
-  ?fault:Fault.t -> ?policy:Policy.t -> key:string -> (unit -> 'a) -> 'a outcome
-(** [supervise ~key f] runs [f] up to [1 + policy.retries] times,
-    sleeping [Policy.delay policy ~key ~attempt] between attempts.
-    [key] names the unit of work (variant id, experiment id) in
-    telemetry and seeds its jitter stream.  [fault] deterministically
-    injects the given failure on the attempts it {!Fault.fires} on
-    ({!Fault.Corrupt_cache_entry} is a no-op at this layer — the caller
-    plants the corruption before supervising). *)
+  ?fault:Fault.t ->
+  ?wall_budget_s:float ->
+  key:string ->
+  (unit -> 'a) ->
+  'a outcome
+(** [supervise ~key f] runs [f] once.  [key] names the unit of work
+    (variant id, experiment id) in telemetry.  With [wall_budget_s], an
+    attempt that returns later than that is quarantined as a timeout.
+    [fault] deterministically injects the given failure instead of
+    running [f] ({!Fault.Corrupt_cache_entry} is a plain run at this
+    layer — the caller plants the corruption before supervising). *)

@@ -34,7 +34,7 @@ type config = {
           and execution latency) on stdout *)
   base : Microtools.Study.Run_config.t;
       (** domains, shared cache, trace routing for every job; the
-          per-submission wire options overlay seed/adaptive/policy/
+          per-submission wire options overlay seed/adaptive/budgets/
           faults on top ({!Protocol.config_into_base}) *)
 }
 

@@ -11,19 +11,13 @@ module J = Mt_obsv.Json
 type machine = Preset of string | Inline_xml of string
 
 (* The serializable slice of Study.Run_config: everything that shapes
-   how a submitted study measures (seed, adaptive stopping, the whole
-   resilience policy, injected faults).  The non-serializable rest —
-   domains, the cache handle, journal/trace paths — is the daemon's to
-   provide, so a submission can never point the server at arbitrary
-   files. *)
+   how a submitted study measures (seed, adaptive stopping, budgets,
+   injected faults).  The non-serializable rest — domains, the cache
+   handle, journal/trace paths — is the daemon's to provide, so a
+   submission can never point the server at arbitrary files. *)
 type run_options = {
   seed : int option;
   adaptive : (float * int) option;  (* rciw_target, max_experiments *)
-  retries : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  backoff_jitter : float;
-  backoff_seed : int;
   wall_budget_s : float option;
   sim_budget : int option;
   faults : Mt_resilience.Fault.t list;
@@ -88,15 +82,9 @@ let reject_to_string = function
 (* ------------------------------------------------------------------ *)
 
 let default_run_options =
-  let p = Mt_resilience.Policy.default in
   {
     seed = None;
     adaptive = None;
-    retries = p.Mt_resilience.Policy.retries;
-    backoff_base_s = p.Mt_resilience.Policy.backoff_base_s;
-    backoff_max_s = p.Mt_resilience.Policy.backoff_max_s;
-    backoff_jitter = p.Mt_resilience.Policy.backoff_jitter;
-    backoff_seed = p.Mt_resilience.Policy.backoff_seed;
     wall_budget_s = None;
     sim_budget = None;
     faults = [];
@@ -107,17 +95,11 @@ let default_run_options =
 module Run_config = Microtools.Study.Run_config
 
 let run_options_of_config (c : Run_config.t) =
-  let p = c.Run_config.policy in
   {
     seed = c.Run_config.seed;
     adaptive = c.Run_config.adaptive;
-    retries = p.Mt_resilience.Policy.retries;
-    backoff_base_s = p.Mt_resilience.Policy.backoff_base_s;
-    backoff_max_s = p.Mt_resilience.Policy.backoff_max_s;
-    backoff_jitter = p.Mt_resilience.Policy.backoff_jitter;
-    backoff_seed = p.Mt_resilience.Policy.backoff_seed;
-    wall_budget_s = p.Mt_resilience.Policy.wall_budget_s;
-    sim_budget = p.Mt_resilience.Policy.sim_budget;
+    wall_budget_s = c.Run_config.wall_budget_s;
+    sim_budget = c.Run_config.sim_budget;
     faults = c.Run_config.faults;
     profile = c.Run_config.profile;
     plan = c.Run_config.plan;
@@ -125,19 +107,14 @@ let run_options_of_config (c : Run_config.t) =
 
 (* Overlay the wire options onto the daemon's base config.  The base
    keeps its domains, cache and output routing; the submission decides
-   seed, adaptive stopping, policy and faults. *)
+   seed, adaptive stopping, budgets and faults. *)
 let config_into_base run (base : Run_config.t) =
-  let policy =
-    Mt_resilience.Policy.make ~retries:run.retries
-      ~backoff_base_s:run.backoff_base_s ~backoff_max_s:run.backoff_max_s
-      ~backoff_jitter:run.backoff_jitter ~backoff_seed:run.backoff_seed
-      ?wall_budget_s:run.wall_budget_s ?sim_budget:run.sim_budget ()
-  in
   {
     base with
     Run_config.seed = run.seed;
     adaptive = run.adaptive;
-    policy;
+    wall_budget_s = run.wall_budget_s;
+    sim_budget = run.sim_budget;
     faults = run.faults;
     profile = run.profile;
     (* A submitted plan wins; a plan-less submission keeps whatever plan
@@ -170,11 +147,6 @@ let run_options_to_json r =
               ("rciw_target", J.Num target);
               ("max_experiments", J.Num (float_of_int budget));
             ] );
-      ("retries", J.Num (float_of_int r.retries));
-      ("backoff_base_s", J.Num r.backoff_base_s);
-      ("backoff_max_s", J.Num r.backoff_max_s);
-      ("backoff_jitter", J.Num r.backoff_jitter);
-      ("backoff_seed", J.Num (float_of_int r.backoff_seed));
       ("wall_budget_s", num_opt r.wall_budget_s);
       ("sim_budget", int_opt r.sim_budget);
       ( "faults",
@@ -376,13 +348,20 @@ let run_options_of_json doc =
       let* budget = int_field "max_experiments" a in
       Ok (Some (target, budget))
   in
-  let* retries = int_field "retries" doc in
-  let* backoff_base_s = float_field "backoff_base_s" doc in
-  let* backoff_max_s = float_field "backoff_max_s" doc in
-  let* backoff_jitter = float_field "backoff_jitter" doc in
-  let* backoff_seed = int_field "backoff_seed" doc in
-  let* wall_budget_s = opt_of "wall_budget_s" J.to_float doc in
-  let* sim_budget = opt_of "sim_budget" J.to_int doc in
+  (* Older clients also send their retry settings; like any unknown
+     member they are ignored.  A budget no run can meet is refused
+     here, as Mt_cli refuses it on the command line. *)
+  let budget name conv ~ok =
+    let* v = opt_of name conv doc in
+    match v with
+    | Some x when not (ok x) ->
+      Error (Printf.sprintf "field %S: not a positive, finite budget" name)
+    | _ -> Ok v
+  in
+  let* wall_budget_s =
+    budget "wall_budget_s" J.to_float ~ok:(fun s -> Float.is_finite s && s > 0.)
+  in
+  let* sim_budget = budget "sim_budget" J.to_int ~ok:(fun n -> n > 0) in
   let* faults =
     let* v = field "faults" doc in
     match J.to_list v with
@@ -419,11 +398,6 @@ let run_options_of_json doc =
     {
       seed;
       adaptive;
-      retries;
-      backoff_base_s;
-      backoff_max_s;
-      backoff_jitter;
-      backoff_seed;
       wall_budget_s;
       sim_budget;
       faults;

@@ -23,13 +23,9 @@ type machine =
 type run_options = {
   seed : int option;
   adaptive : (float * int) option;  (** (rciw_target, max_experiments) *)
-  retries : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  backoff_jitter : float;
-  backoff_seed : int;
   wall_budget_s : float option;
-  sim_budget : int option;
+      (** positive and finite; the decoder refuses any other value *)
+  sim_budget : int option;  (** positive; the decoder refuses any other *)
   faults : Mt_resilience.Fault.t list;
   profile : bool;
       (** record bottleneck attribution during the daemon's measured
@@ -110,8 +106,8 @@ val prometheus_of_metrics : metrics -> string
     underscores ([serve.jobs.completed] → [serve_jobs_completed]). *)
 
 val default_run_options : run_options
-(** {!Mt_resilience.Policy.default} with no seed, no adaptive stopping
-    and no faults. *)
+(** No seed, no adaptive stopping, no budgets, no faults, no profile,
+    no plan. *)
 
 val run_options_of_config : Microtools.Study.Run_config.t -> run_options
 (** Project the serializable slice out of a full run config — how

@@ -228,11 +228,11 @@ end
 
 (** SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the one
     pseudo-random generator behind every seeded stream in the project —
-    the machine's noise model, the quality bootstrap, retry backoff
-    jitter and the creator's random selection.  It never touches the
-    global [Random] state, so a seed gives the same stream on every run
-    and platform.  Each caller salts its own seed into the initial
-    state, so the streams stay independent. *)
+    the machine's noise model, the quality bootstrap and the creator's
+    random selection.  It never touches the global [Random] state, so a
+    seed gives the same stream on every run and platform.  Each caller
+    salts its own seed into the initial state, so the streams stay
+    independent. *)
 module Splitmix : sig
   type t
 

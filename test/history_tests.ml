@@ -184,6 +184,30 @@ let test_history_lineages () =
       l.History.l_kernel_hash;
     check_int "latest lineage has its one run" 1 (List.length l.History.l_entries)
 
+(* A two-run archive whose manifest the totality property rewrites. *)
+let fuzz_archive =
+  lazy
+    (let dir = temp_dir "mthist" in
+     ignore (append_ok ~label:"first" dir (snap 2.0));
+     ignore (append_ok dir (snap ~machine:("server", "mh-2") 5.0));
+     let manifest = Filename.concat dir History.manifest_name in
+     (dir, manifest, In_channel.with_open_bin manifest In_channel.input_all))
+
+(* Loading skips a manifest line it cannot read; it never raises, and
+   a mutated byte cannot invent a third run. *)
+let prop_manifest_mutated =
+  QCheck.Test.make ~count:300
+    ~name:"history: byte-mutated manifests load without raising"
+    QCheck.(pair (float_bound_exclusive 1.) char)
+    (fun (frac, c) ->
+      let dir, manifest, text = Lazy.force fuzz_archive in
+      let at = int_of_float (frac *. float_of_int (String.length text)) in
+      let mutated = String.mapi (fun i x -> if i = at then c else x) text in
+      Out_channel.with_open_bin manifest (fun oc -> output_string oc mutated);
+      match History.load dir with
+      | Ok hist -> History.length hist <= 2
+      | Error _ -> false)
+
 let test_history_torn_manifest_recovery () =
   let dir = temp_dir "mthist" in
   ignore (append_ok dir (snap 2.0));
@@ -309,6 +333,7 @@ let tests =
     Alcotest.test_case "history: lineages" `Quick test_history_lineages;
     Alcotest.test_case "history: torn manifest recovery" `Quick
       test_history_torn_manifest_recovery;
+    QCheck_alcotest.to_alcotest prop_manifest_mutated;
     Alcotest.test_case "history: trend over archive" `Quick
       test_history_trend_on_archive;
     Alcotest.test_case "history: windowed baseline" `Quick

@@ -1,11 +1,11 @@
-(* Tests for the resilience layer: deterministic backoff, fault-spec
-   parsing, the supervisor's retry/quarantine matrix, the checkpoint
-   journal (including torn final lines), cache decode recovery, and
-   journal resume producing byte-identical study output. *)
+(* Tests for the resilience layer: fault-spec parsing, the supervisor's
+   one-attempt quarantine matrix, the checkpoint journal (including torn
+   final lines, and QCheck totality on cut and byte-mutated files),
+   cache decode recovery, and journal resume producing byte-identical
+   study output. *)
 
 open Mt_machine
 open Mt_launcher
-module Policy = Mt_resilience.Policy
 module Fault = Mt_resilience.Fault
 module Supervisor = Mt_resilience.Supervisor
 module Journal = Mt_resilience.Journal
@@ -16,75 +16,34 @@ let check_bool = Alcotest.(check bool)
 
 let check_string = Alcotest.(check string)
 
-(* A policy whose sleeps cost nothing, for fast retry-path tests. *)
-let instant ?(retries = 1) ?wall_budget_s () =
-  Policy.make ~retries ~backoff_base_s:0. ~backoff_jitter:0. ?wall_budget_s ()
-
-(* ------------------------------------------------------------------ *)
-(* Policy: deterministic backoff                                       *)
-(* ------------------------------------------------------------------ *)
-
-let prop_backoff_deterministic_and_bounded =
-  (* Same (seed, key, attempt) -> same delay, and the delay sits in
-     [base * 2^(a-1), base * 2^(a-1) * (1 + jitter)] when the cap is
-     out of reach. *)
-  QCheck.Test.make ~count:300
-    ~name:"backoff: deterministic and within the jitter envelope"
-    QCheck.(pair string (int_range 1 8))
-    (fun (key, attempt) ->
-      let p =
-        Policy.make ~retries:8 ~backoff_base_s:0.004 ~backoff_max_s:1e9
-          ~backoff_jitter:0.5 ~backoff_seed:7 ()
-      in
-      let d1 = Policy.delay p ~key ~attempt in
-      let d2 = Policy.delay p ~key ~attempt in
-      let raw = 0.004 *. (2. ** float_of_int (attempt - 1)) in
-      d1 = d2 && d1 >= raw && d1 <= raw *. 1.5)
-
-let test_backoff_no_jitter_exact () =
-  let p =
-    Policy.make ~backoff_base_s:0.002 ~backoff_jitter:0. ~backoff_max_s:1e9 ()
-  in
-  Alcotest.(check (float 1e-12)) "attempt 1" 0.002 (Policy.delay p ~key:"k" ~attempt:1);
-  Alcotest.(check (float 1e-12)) "attempt 3" 0.008 (Policy.delay p ~key:"k" ~attempt:3)
-
-let test_backoff_capped () =
-  let p = Policy.make ~backoff_base_s:1.0 ~backoff_max_s:0.25 () in
-  check_bool "cap holds" true (Policy.delay p ~key:"k" ~attempt:6 <= 0.25)
-
-let test_backoff_seed_matters () =
-  let delay seed =
-    Policy.delay
-      (Policy.make ~backoff_base_s:1.0 ~backoff_jitter:1.0 ~backoff_max_s:1e9
-         ~backoff_seed:seed ())
-      ~key:"k" ~attempt:1
-  in
-  (* 64 seeds all colliding would mean the seed is ignored. *)
-  let distinct =
-    List.sort_uniq compare (List.init 64 delay) |> List.length
-  in
-  check_bool "seeds spread the jitter" true (distinct > 1)
-
 (* ------------------------------------------------------------------ *)
 (* Fault specs                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_fault_spec_parse () =
   (match Fault.of_spec "variant=0:raise" with
-  | Ok { Fault.index = 0; kind = Fault.Raise; times = None } -> ()
+  | Ok { Fault.index = 0; kind = Fault.Raise } -> ()
   | _ -> Alcotest.fail "variant=0:raise");
-  (match Fault.of_spec "variant=3:timeout@1" with
-  | Ok { Fault.index = 3; kind = Fault.Timeout; times = Some 1 } -> ()
-  | _ -> Alcotest.fail "variant=3:timeout@1");
+  (match Fault.of_spec "variant=3:timeout" with
+  | Ok { Fault.index = 3; kind = Fault.Timeout } -> ()
+  | _ -> Alcotest.fail "variant=3:timeout");
   (match Fault.of_spec "variant=2:corrupt-cache-entry" with
-  | Ok { Fault.index = 2; kind = Fault.Corrupt_cache_entry; times = None } -> ()
+  | Ok { Fault.index = 2; kind = Fault.Corrupt_cache_entry } -> ()
   | _ -> Alcotest.fail "variant=2:corrupt-cache-entry");
   List.iter
     (fun bad ->
       match Fault.of_spec bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "%S should not parse" bad))
-    [ ""; "variant=:raise"; "variant=1:explode"; "variant=x:raise"; "1:raise" ]
+    [
+      "";
+      "variant=:raise";
+      "variant=1:explode";
+      "variant=x:raise";
+      "1:raise";
+      (* A unit runs once, so there are no attempts to count. *)
+      "variant=3:timeout@1";
+    ]
 
 let test_fault_spec_round_trip () =
   List.iter
@@ -92,84 +51,64 @@ let test_fault_spec_round_trip () =
       match Fault.of_spec spec with
       | Error msg -> Alcotest.fail msg
       | Ok f -> check_string "round trip" spec (Fault.to_spec f))
-    [ "variant=0:raise"; "variant=3:timeout@1"; "variant=2:corrupt-cache-entry" ]
-
-let test_fault_fires () =
-  let once = Fault.make ~times:1 ~index:0 Fault.Raise in
-  check_bool "fires on 1" true (Fault.fires once ~attempt:1);
-  check_bool "quiet on 2" false (Fault.fires once ~attempt:2);
-  let always = Fault.make ~index:0 Fault.Raise in
-  check_bool "always fires" true (Fault.fires always ~attempt:5)
+    [ "variant=0:raise"; "variant=3:timeout"; "variant=2:corrupt-cache-entry" ]
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor: retry / quarantine matrix                               *)
+(* Supervisor: one attempt, then a verdict                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_supervise_success_first_try () =
-  match Supervisor.supervise ~policy:(instant ()) ~key:"k" (fun () -> 42) with
-  | Supervisor.Done (42, 1) -> ()
-  | _ -> Alcotest.fail "expected Done (42, 1)"
+  match Supervisor.supervise ~key:"k" (fun () -> 42) with
+  | Supervisor.Done 42 -> ()
+  | _ -> Alcotest.fail "expected Done 42"
 
-let test_supervise_retry_then_succeed () =
-  let attempts = ref 0 in
+(* A thunk that would succeed on a second call is still called once:
+   the simulator is deterministic, so a rerun could only repeat a real
+   failure. *)
+let test_supervise_runs_once () =
+  let calls = ref 0 in
   match
-    Supervisor.supervise ~policy:(instant ~retries:2 ()) ~key:"k" (fun () ->
-        incr attempts;
-        if !attempts < 2 then failwith "flaky" else "ok")
-  with
-  | Supervisor.Done ("ok", 2) -> check_int "two attempts" 2 !attempts
-  | _ -> Alcotest.fail "expected success on attempt 2"
-
-let test_supervise_retries_exhausted () =
-  match
-    Supervisor.supervise ~policy:(instant ~retries:2 ()) ~key:"k" (fun () ->
-        failwith "always broken")
+    Supervisor.supervise ~key:"k" (fun () ->
+        incr calls;
+        if !calls < 2 then failwith "flaky" else "ok")
   with
   | Supervisor.Quarantined q ->
+    check_int "called once" 1 !calls;
     check_string "kind" "raise" q.Supervisor.kind;
-    check_int "attempts = 1 + retries" 3 q.Supervisor.attempts;
+    check_int "one attempt spent" 1 q.Supervisor.attempts;
     check_bool "detail carries the exception" true
-      (let msg = q.Supervisor.detail in
-       String.length msg >= 6)
+      (String.length q.Supervisor.detail >= 5)
   | Supervisor.Done _ -> Alcotest.fail "expected quarantine"
 
 let test_supervise_error_value_flows_through () =
-  (* An Error *value* is a measurement result, not a crash: no retry. *)
-  let attempts = ref 0 in
+  (* An Error *value* is a measurement result, not a crash. *)
+  let calls = ref 0 in
   match
-    Supervisor.supervise ~policy:(instant ~retries:3 ()) ~key:"k" (fun () ->
-        incr attempts;
+    Supervisor.supervise ~key:"k" (fun () ->
+        incr calls;
         (Error "bad kernel" : (int, string) result))
   with
-  | Supervisor.Done (Error "bad kernel", 1) -> check_int "no retries" 1 !attempts
-  | _ -> Alcotest.fail "expected the Error value on attempt 1"
+  | Supervisor.Done (Error "bad kernel") -> check_int "called once" 1 !calls
+  | _ -> Alcotest.fail "expected the Error value"
 
-let test_supervise_injected_raise_then_recover () =
-  (* Fault on the first attempt only: the retry must succeed. *)
-  let fault = Fault.make ~times:1 ~index:0 Fault.Raise in
+let test_supervise_injected_raise () =
+  let calls = ref 0 in
   match
-    Supervisor.supervise ~fault ~policy:(instant ()) ~key:"k" (fun () -> 7)
-  with
-  | Supervisor.Done (7, 2) -> ()
-  | _ -> Alcotest.fail "expected recovery on attempt 2"
-
-let test_supervise_injected_raise_exhausts () =
-  let fault = Fault.make ~index:0 Fault.Raise in
-  match
-    Supervisor.supervise ~fault ~policy:(instant ~retries:1 ()) ~key:"k"
-      (fun () -> 7)
+    Supervisor.supervise ~fault:{ Fault.index = 0; kind = Fault.Raise }
+      ~key:"k" (fun () ->
+        incr calls;
+        7)
   with
   | Supervisor.Quarantined q ->
     check_string "kind" "raise" q.Supervisor.kind;
-    check_int "attempts" 2 q.Supervisor.attempts
+    check_int "attempts" 1 q.Supervisor.attempts;
+    check_int "the thunk never ran" 0 !calls
   | Supervisor.Done _ -> Alcotest.fail "expected quarantine"
 
 let test_supervise_injected_timeout () =
-  let fault = Fault.make ~index:0 Fault.Timeout in
   match
-    Supervisor.supervise ~fault
-      ~policy:(instant ~retries:0 ~wall_budget_s:60. ())
-      ~key:"k" (fun () -> 7)
+    Supervisor.supervise ~fault:{ Fault.index = 0; kind = Fault.Timeout }
+      ~wall_budget_s:60. ~key:"k" (fun () -> 7)
   with
   | Supervisor.Quarantined q -> check_string "kind" "timeout" q.Supervisor.kind
   | Supervisor.Done _ -> Alcotest.fail "expected a timeout quarantine"
@@ -179,17 +118,15 @@ let test_supervise_wall_budget_post_hoc () =
      after the attempt returns, so even a successful value is discarded
      as hung. *)
   match
-    Supervisor.supervise
-      ~policy:(instant ~retries:0 ~wall_budget_s:1e-9 ())
-      ~key:"k"
-      (fun () -> Unix.sleepf 0.002)
+    Supervisor.supervise ~wall_budget_s:1e-9 ~key:"k" (fun () ->
+        Unix.sleepf 0.002)
   with
   | Supervisor.Quarantined q -> check_string "kind" "timeout" q.Supervisor.kind
   | Supervisor.Done _ -> Alcotest.fail "expected a timeout quarantine"
 
 let test_quarantine_to_string () =
-  let q = { Supervisor.kind = "raise"; detail = "boom"; attempts = 3 } in
-  check_string "rendering" "quarantined (raise) after 3 attempts: boom"
+  let q = { Supervisor.kind = "raise"; detail = "boom"; attempts = 1 } in
+  check_string "rendering" "quarantined (raise) after 1 attempt: boom"
     (Supervisor.quarantine_to_string q)
 
 (* ------------------------------------------------------------------ *)
@@ -264,6 +201,54 @@ let test_journal_load_missing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an Error for a missing file"
 
+(* Random journals for the loader's totality properties: keys, ids and
+   payloads take any byte. *)
+let arbitrary_records =
+  let str n = QCheck.Gen.(string_size ~gen:char (0 -- n)) in
+  QCheck.make
+    ~print:QCheck.Print.(list (triple string string string))
+    QCheck.Gen.(list_size (0 -- 8) (triple (str 8) (str 8) (str 24)))
+
+let journal_text records =
+  let path = temp_path () in
+  let w = Journal.create path in
+  List.iter (fun (key, id, data) -> Journal.record w ~key ~id ~data) records;
+  Journal.close w;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let load_text text =
+  let path = temp_path () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Journal.load path)
+
+(* What a kill at any moment leaves: the records before the cut, and
+   never a record that was not written. *)
+let prop_journal_cut =
+  QCheck.Test.make ~count:200
+    ~name:"journal: a file cut at any byte loads a prefix of its records"
+    QCheck.(pair arbitrary_records (float_bound_inclusive 1.))
+    (fun (records, frac) ->
+      let text = journal_text records in
+      let cut = int_of_float (frac *. float_of_int (String.length text)) in
+      match load_text (String.sub text 0 cut) with
+      | Error _ -> false
+      | Ok entries ->
+        let n = List.length entries in
+        List.map (fun e -> Journal.(e.key, e.id, e.data)) entries
+        = List.filteri (fun i _ -> i < n) records)
+
+let prop_journal_mutated =
+  QCheck.Test.make ~count:200
+    ~name:"journal: byte-mutated files load without raising"
+    QCheck.(triple arbitrary_records (float_bound_exclusive 1.) char)
+    (fun (records, frac, c) ->
+      let text = journal_text records in
+      let at = int_of_float (frac *. float_of_int (String.length text)) in
+      let mutated = String.mapi (fun i x -> if i = at then c else x) text in
+      match load_text mutated with Ok _ | Error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Study integration                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -289,7 +274,6 @@ let config_with ?cache ?(faults = []) ?journal_out ?resume_from () =
     Microtools.Study.Run_config.default with
     Microtools.Study.Run_config.cache;
     faults;
-    policy = instant ~retries:0 ();
     journal_out;
     resume_from;
   }
@@ -297,7 +281,9 @@ let config_with ?cache ?(faults = []) ?journal_out ?resume_from () =
 let test_study_fault_quarantines_not_aborts () =
   let study = Microtools.Study.create small_spec quick_opts in
   let n = List.length (Microtools.Study.variants study) in
-  let config = config_with ~faults:[ Fault.make ~index:0 Fault.Raise ] () in
+  let config =
+    config_with ~faults:[ { Fault.index = 0; kind = Fault.Raise } ] ()
+  in
   let outcomes = Microtools.Study.run ~config study in
   check_int "every variant reports" n (List.length outcomes);
   let quarantined = Microtools.Study.quarantined outcomes in
@@ -318,27 +304,13 @@ let test_study_fault_quarantines_not_aborts () =
   check_int "snapshot quarantined list" 1
     (List.length snap.Mt_obsv.Snapshot.quarantined)
 
-let test_study_retry_masks_transient_fault () =
-  let study = Microtools.Study.create small_spec quick_opts in
-  let n = List.length (Microtools.Study.variants study) in
-  let config =
-    {
-      (config_with ~faults:[ Fault.make ~times:1 ~index:0 Fault.Raise ] ()) with
-      Microtools.Study.Run_config.policy = instant ~retries:1 ();
-    }
-  in
-  let outcomes = Microtools.Study.run ~config study in
-  check_int "no quarantine" 0
-    (List.length (Microtools.Study.quarantined outcomes));
-  check_int "all succeed" n (List.length (Microtools.Study.successes outcomes))
-
 let test_study_corrupt_cache_recovers () =
   let cache = Mt_parallel.Cache.create () in
   let study = Microtools.Study.create small_spec quick_opts in
   let n = List.length (Microtools.Study.variants study) in
   let config =
     config_with ~cache
-      ~faults:[ Fault.make ~index:0 Fault.Corrupt_cache_entry ]
+      ~faults:[ { Fault.index = 0; kind = Fault.Corrupt_cache_entry } ]
       ()
   in
   let outcomes = Microtools.Study.run ~config study in
@@ -404,7 +376,7 @@ let test_study_quarantine_journals_and_resumes () =
      the quarantine verdict instead of re-measuring the poison pill. *)
   let study = Microtools.Study.create small_spec quick_opts in
   let journal = temp_path () in
-  let faults = [ Fault.make ~index:0 Fault.Raise ] in
+  let faults = [ { Fault.index = 0; kind = Fault.Raise } ] in
   let first =
     Microtools.Study.run
       ~config:(config_with ~faults ~journal_out:journal ())
@@ -500,8 +472,7 @@ let test_experiments_honour_sim_budget () =
   let config =
     {
       Microtools.Study.Run_config.default with
-      Microtools.Study.Run_config.policy =
-        Policy.make ~retries:0 ~backoff_base_s:0. ~sim_budget:10 ();
+      Microtools.Study.Run_config.sim_budget = Some 10;
     }
   in
   Microtools.Experiments.set_run_config config;
@@ -515,27 +486,17 @@ let test_experiments_honour_sim_budget () =
 
 let tests =
   [
-    QCheck_alcotest.to_alcotest prop_backoff_deterministic_and_bounded;
-    Alcotest.test_case "backoff exact without jitter" `Quick
-      test_backoff_no_jitter_exact;
-    Alcotest.test_case "backoff cap" `Quick test_backoff_capped;
-    Alcotest.test_case "backoff seed matters" `Quick test_backoff_seed_matters;
     Alcotest.test_case "fault spec parses" `Quick test_fault_spec_parse;
     Alcotest.test_case "fault spec round-trips" `Quick
       test_fault_spec_round_trip;
-    Alcotest.test_case "fault fires per attempt" `Quick test_fault_fires;
     Alcotest.test_case "supervise: first-try success" `Quick
       test_supervise_success_first_try;
-    Alcotest.test_case "supervise: retry then succeed" `Quick
-      test_supervise_retry_then_succeed;
-    Alcotest.test_case "supervise: retries exhausted" `Quick
-      test_supervise_retries_exhausted;
+    Alcotest.test_case "supervise: a flaky unit runs once" `Quick
+      test_supervise_runs_once;
     Alcotest.test_case "supervise: Error value not retried" `Quick
       test_supervise_error_value_flows_through;
-    Alcotest.test_case "supervise: injected raise recovers" `Quick
-      test_supervise_injected_raise_then_recover;
-    Alcotest.test_case "supervise: injected raise exhausts" `Quick
-      test_supervise_injected_raise_exhausts;
+    Alcotest.test_case "supervise: injected raise quarantines" `Quick
+      test_supervise_injected_raise;
     Alcotest.test_case "supervise: injected timeout" `Quick
       test_supervise_injected_timeout;
     Alcotest.test_case "supervise: wall budget post hoc" `Quick
@@ -549,10 +510,10 @@ let tests =
     Alcotest.test_case "journal append mode" `Quick test_journal_append_mode;
     Alcotest.test_case "journal load missing file" `Quick
       test_journal_load_missing;
+    QCheck_alcotest.to_alcotest prop_journal_cut;
+    QCheck_alcotest.to_alcotest prop_journal_mutated;
     Alcotest.test_case "study: fault quarantines, not aborts" `Quick
       test_study_fault_quarantines_not_aborts;
-    Alcotest.test_case "study: retry masks transient fault" `Quick
-      test_study_retry_masks_transient_fault;
     Alcotest.test_case "study: corrupt cache entry recovers" `Quick
       test_study_corrupt_cache_recovers;
     Alcotest.test_case "study: journal resume byte-identical" `Slow

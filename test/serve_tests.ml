@@ -1,7 +1,9 @@
-(* Tests for the mt_serve stack: wire-protocol codecs, the bounded job
-   queue's typed back-pressure, and an in-process daemon end to end —
-   including the byte-identity guarantee between a streamed CSV and the
-   one-shot Study.csv document. *)
+(* Tests for the mt_serve stack: wire-protocol codecs (with QCheck
+   round-trip and totality properties, and a request line from a client
+   that still sends retry settings), the bounded job queue's typed
+   back-pressure, and an in-process daemon end to end — including the
+   byte-identity guarantee between a streamed CSV and the one-shot
+   Study.csv document. *)
 
 open Mt_serve
 
@@ -32,14 +34,9 @@ let full_submission =
       {
         Protocol.seed = Some 42;
         adaptive = Some (0.05, 32);
-        retries = 4;
-        backoff_base_s = 0.125;
-        backoff_max_s = 2.5;
-        backoff_jitter = 0.25;
-        backoff_seed = 99;
         wall_budget_s = Some 1.5;
         sim_budget = Some 100_000;
-        faults = [ fault "variant=2:raise@1"; fault "variant=5:timeout" ];
+        faults = [ fault "variant=2:raise"; fault "variant=5:timeout" ];
         profile = true;
         plan = None;
       };
@@ -185,14 +182,10 @@ let test_prometheus_rendering () =
 (* The serializable slice survives Run_config -> wire -> Run_config:
    projecting the overlaid config again yields the same wire options. *)
 let test_run_options_config_fidelity () =
-  let policy =
-    Mt_resilience.Policy.make ~retries:4 ~backoff_base_s:0.125
-      ~backoff_max_s:2.5 ~backoff_jitter:0.25 ~backoff_seed:99
-      ~wall_budget_s:1.5 ~sim_budget:100_000 ()
-  in
   let config =
-    Microtools.Study.Run_config.make ~seed:42 ~adaptive:(0.05, 32) ~policy
-      ~faults:[ fault "variant=2:raise@1" ] ()
+    Microtools.Study.Run_config.make ~seed:42 ~adaptive:(0.05, 32)
+      ~wall_budget_s:1.5 ~sim_budget:100_000
+      ~faults:[ fault "variant=2:raise" ] ()
   in
   let wire = Protocol.run_options_of_config config in
   let rebuilt =
@@ -216,6 +209,123 @@ let test_framing_one_line_per_message () =
   (* Kernel XML with raw newlines/CRs must not break line framing. *)
   check_bool "encoded message has no raw newline" true
     (not (String.exists (fun c -> c = '\n' || c = '\r') (Buffer.contents buf)))
+
+(* Random requests for the codec's round-trip and totality properties.
+   Strings take any byte; numbers stay within what JSON carries exactly,
+   and budgets are positive, as the decoder requires. *)
+let gen_request =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 16) in
+  let small = 0 -- 100_000 in
+  let fault =
+    map2
+      (fun index kind -> { Mt_resilience.Fault.index; kind })
+      small
+      (oneofl Mt_resilience.Fault.[ Raise; Timeout; Corrupt_cache_entry ])
+  in
+  let run =
+    map
+      (fun ((seed, adaptive, wall_budget_s, sim_budget), (faults, profile, plan)) ->
+        {
+          Protocol.seed;
+          adaptive;
+          wall_budget_s;
+          sim_budget;
+          faults;
+          profile;
+          plan;
+        })
+      (pair
+         (quad
+            (opt (int_range (-1_000_000) 1_000_000))
+            (opt (pair (float_range 0. 1.) small))
+            (opt (float_range 1e-6 1e6))
+            (opt (1 -- 1_000_000_000)))
+         (triple (list_size (0 -- 4) fault) bool (opt Optimize_tests.gen_plan)))
+  in
+  let machine =
+    oneof
+      [
+        map (fun s -> Protocol.Preset s) str;
+        map (fun s -> Protocol.Inline_xml s) str;
+      ]
+  in
+  let submission =
+    map
+      (fun ((kernel_xml, machine, array_kb, per), (repetitions, experiments, run)) ->
+        {
+          Protocol.kernel_xml;
+          machine;
+          array_kb;
+          per;
+          repetitions;
+          experiments;
+          run;
+        })
+      (pair (quad str machine small str) (triple small small run))
+  in
+  oneof
+    [
+      map (fun s -> Protocol.Submit s) submission;
+      oneofl
+        Protocol.
+          [
+            Ping;
+            Stats;
+            Metrics Metrics_json;
+            Metrics Metrics_prometheus;
+            Shutdown;
+          ];
+    ]
+
+let request_line r = Mt_obsv.Json.to_string (Protocol.request_to_json r)
+
+let arbitrary_request = QCheck.make ~print:request_line gen_request
+
+let prop_request_round_trip =
+  QCheck.Test.make ~count:300 ~name:"request: of_json (to_json r) = r"
+    arbitrary_request (fun r ->
+      Protocol.request_of_json (Protocol.request_to_json r) = Ok r)
+
+(* [Protocol.read_request] on these bytes, as the daemon reads a peer. *)
+let read_request_of text =
+  let path = Filename.temp_file "mt-request" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> In_channel.with_open_bin path Protocol.read_request)
+
+(* A request line is one JSON object, so every prefix that loses the
+   closing brace is malformed; a mutated byte may leave a valid
+   request, but never makes the reader raise. *)
+let prop_request_lines_total =
+  QCheck.Test.make ~count:300
+    ~name:"request lines: truncated are errors, mutated never raise"
+    QCheck.(
+      quad arbitrary_request (float_bound_inclusive 1.)
+        (float_bound_exclusive 1.) char)
+    (fun (r, cut, at, c) ->
+      let line = request_line r ^ "\n" in
+      let n = String.length line in
+      let cut = int_of_float (cut *. float_of_int n) in
+      let at = int_of_float (at *. float_of_int n) in
+      let mutated = String.mapi (fun i x -> if i = at then c else x) line in
+      (match read_request_of (String.sub line 0 cut) with
+      | None -> cut = 0
+      | Some (Error _) -> 0 < cut && cut < n - 1
+      | Some (Ok r') -> cut >= n - 1 && r' = r)
+      &&
+      match read_request_of mutated with
+      | None | Some (Ok _) | Some (Error _) -> true)
+
+(* A request line written by a client from before retries were
+   removed: [request_to_json] of [small_submission] below, with
+   retries = 1000000, backoff_base_s = backoff_max_s = 1e6 and the fault
+   variant=0:raise.  A daemon that retried parked its worker in a
+   1e6 s sleep on it. *)
+let old_client_line =
+  lazy
+    (In_channel.with_open_bin "serve-submit-retries.json" In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Jobq back-pressure                                                  *)
@@ -306,15 +416,23 @@ let with_daemon ?(workers = 2) ?(queue = 8) ?history_dir ?(log_json = false) f =
   in
   let daemon = Daemon.create config in
   let server = Thread.create (fun () -> Daemon.serve daemon) () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match Client.shutdown ~socket with _ -> ());
-      Daemon.stop daemon;
-      Thread.join server;
-      if Sys.file_exists socket then Sys.remove socket)
-    (fun () -> f ~socket ~daemon)
+  let stop () =
+    (match Client.shutdown ~socket with _ -> ());
+    Daemon.stop daemon
+  in
+  match f ~socket ~daemon with
+  | result ->
+    stop ();
+    Thread.join server;
+    if Sys.file_exists socket then Sys.remove socket;
+    result
+  | exception e ->
+    (* A failed test may leave a job running: waiting for the daemon to
+       drain would hang the suite instead of failing it. *)
+    stop ();
+    raise e
 
-let one_shot_csv_text () =
+let one_shot_csv_text ?config () =
   let opts =
     {
       (Mt_launcher.Options.default Mt_machine.Config.nehalem_x5650_2s) with
@@ -329,7 +447,7 @@ let one_shot_csv_text () =
   with
   | Error msg -> Alcotest.failf "one-shot study: %s" msg
   | Ok study ->
-    let outcomes = Microtools.Study.run study in
+    let outcomes = Microtools.Study.run ?config study in
     Mt_stats.Csv.to_string (Microtools.Study.csv outcomes)
 
 let test_daemon_end_to_end () =
@@ -606,6 +724,140 @@ let test_daemon_history_archive () =
                 snap.Mt_obsv.Snapshot.tool)
           entries)
 
+(* ------------------------------------------------------------------ *)
+(* Raw request lines, against a deadline                               *)
+(* ------------------------------------------------------------------ *)
+
+let replace_once ~needle ~by hay =
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length hay then Alcotest.failf "no %s in %s" needle hay
+    else if String.sub hay i n = needle then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.sub hay 0 at ^ by
+  ^ String.sub hay (at + n) (String.length hay - at - n)
+
+(* One raw request line on a fresh connection.  Every read must end by
+   [deadline] (Unix time): a daemon that never answers fails the test
+   instead of hanging it. *)
+let send_line socket line =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  (fd, Unix.in_channel_of_descr fd)
+
+let next_response ~deadline (fd, ic) =
+  let left = deadline -. Unix.gettimeofday () in
+  if left <= 0. then Alcotest.fail "deadline hit";
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO left;
+  match Protocol.read_response ic with
+  | Some (Ok r) -> Some r
+  | Some (Error msg) -> Alcotest.failf "undecodable reply: %s" msg
+  | None -> None
+  | exception (Sys_blocked_io | Sys_error _) -> Alcotest.fail "deadline hit"
+
+(* Every remaining reply, until the daemon closes the connection. *)
+let responses ~deadline ((_, ic) as conn) =
+  let rec go acc =
+    match next_response ~deadline conn with
+    | Some r -> go (r :: acc)
+    | None ->
+      close_in_noerr ic;
+      List.rev acc
+  in
+  go []
+
+let bad_request ~socket line =
+  let deadline = Unix.gettimeofday () +. 10. in
+  match responses ~deadline (send_line socket line) with
+  | [ Protocol.Rejected (Protocol.Bad_request msg) ] -> msg
+  | _ -> Alcotest.failf "expected a bad-request rejection of %s" line
+
+let streamed_csv rs =
+  match
+    List.filter_map (function Protocol.Header h -> Some h | _ -> None) rs
+  with
+  | [ header ] ->
+    let doc = Mt_stats.Csv.create ~header in
+    List.iter
+      (function Protocol.Row r -> Mt_stats.Csv.add_row doc r | _ -> ())
+      rs;
+    Mt_stats.Csv.to_string doc
+  | _ -> Alcotest.fail "expected one CSV header"
+
+(* A client from before retries were removed still sends [retries] and
+   [backoff_*]: its request decodes with those members ignored, and an
+   attempt-limited fault spec (@N) is a bad request, not an exception. *)
+let test_old_client_request () =
+  let line = Lazy.force old_client_line in
+  (match Result.bind (Mt_obsv.Json.of_string line) Protocol.request_of_json with
+  | Error msg -> Alcotest.failf "old client's request: %s" msg
+  | Ok r ->
+    check_bool "decodes with the retry members ignored" true
+      (r
+      = Protocol.Submit
+          {
+            small_submission with
+            Protocol.run =
+              {
+                Protocol.default_run_options with
+                faults = [ fault "variant=0:raise" ];
+              };
+          }));
+  with_daemon (fun ~socket ~daemon:_ ->
+      let line =
+        replace_once ~needle:"variant=0:raise" ~by:"variant=2:raise@1" line
+      in
+      check_bool "the @N spec is refused" true
+        (string_contains "raise@1" (bad_request ~socket line)))
+
+(* The daemon must survive any input.  The old client's request asks
+   for a million retries 1e6 s apart on a variant that always raises;
+   its job runs each variant once and ends with that one quarantined,
+   and the job queued behind it on the one worker completes. *)
+let test_daemon_runs_faulted_job_once () =
+  let deadline = Unix.gettimeofday () +. 20. in
+  with_daemon ~workers:1 (fun ~socket ~daemon:_ ->
+      let faulted = send_line socket (Lazy.force old_client_line) in
+      (match next_response ~deadline faulted with
+      | Some (Protocol.Accepted _) -> ()
+      | _ -> Alcotest.fail "the old client's request was not accepted");
+      let queued =
+        send_line socket
+          (request_line (Protocol.Submit small_submission) ^ "\n")
+      in
+      let streamed = responses ~deadline faulted in
+      (match List.rev streamed with
+      | Protocol.Done { quarantined; _ } :: _ ->
+        check_int "one variant quarantined" 1 quarantined
+      | _ -> Alcotest.fail "the faulted job did not end done");
+      let config =
+        Microtools.Study.Run_config.make ~faults:[ fault "variant=0:raise" ] ()
+      in
+      check_string "streamed CSV equals the local run's"
+        (one_shot_csv_text ~config ()) (streamed_csv streamed);
+      match List.rev (responses ~deadline queued) with
+      | Protocol.Done { quarantined = 0; _ } :: _ -> ()
+      | _ -> Alcotest.fail "the job queued behind it did not complete")
+
+(* A budget no run can meet is refused before it takes a queue slot;
+   1e999 reads as infinity. *)
+let test_daemon_refuses_budget member values () =
+  with_daemon (fun ~socket ~daemon:_ ->
+      let line = request_line (Protocol.Submit small_submission) ^ "\n" in
+      let null = Printf.sprintf "\"%s\":null" member in
+      List.iter
+        (fun value ->
+          let by = Printf.sprintf "\"%s\":%s" member value in
+          let bad = replace_once ~needle:null ~by line in
+          check_bool
+            (Printf.sprintf "%s = %s is refused by name" member value)
+            true
+            (string_contains member (bad_request ~socket bad)))
+        values)
+
 let test_daemon_rejects_live_socket_reuse () =
   with_daemon (fun ~socket ~daemon:_ ->
       check_bool "second daemon on a live socket refuses" true
@@ -648,4 +900,13 @@ let suite =
       test_daemon_history_archive;
     Alcotest.test_case "daemon refuses live socket" `Quick
       test_daemon_rejects_live_socket_reuse;
+    QCheck_alcotest.to_alcotest prop_request_round_trip;
+    QCheck_alcotest.to_alcotest prop_request_lines_total;
+    Alcotest.test_case "old client request" `Quick test_old_client_request;
+    Alcotest.test_case "daemon runs a faulted job once" `Quick
+      test_daemon_runs_faulted_job_once;
+    Alcotest.test_case "daemon refuses a bad wall budget" `Quick
+      (test_daemon_refuses_budget "wall_budget_s" [ "0"; "-1"; "1e999" ]);
+    Alcotest.test_case "daemon refuses a bad sim budget" `Quick
+      (test_daemon_refuses_budget "sim_budget" [ "0"; "-5" ]);
   ]

@@ -222,7 +222,7 @@ let prop_stddev_nonneg =
       S.stddev (Array.of_list l) >= 0.)
 
 (* The published SplitMix64 reference outputs for state 0: every seeded
-   stream in the project (noise, bootstrap, backoff, random selection)
+   stream in the project (noise, bootstrap, random selection)
    draws from this one generator. *)
 let test_splitmix_reference () =
   let rng = S.Splitmix.create 0L in
