@@ -7,10 +7,15 @@ type t = {
   ctx : Pass.context;
   pipeline : Pass.pipeline option;
   mutable generated : Variant.t list option;
+  mutable fingerprints : string array option;
+      (* Each generated variant's [variant_fingerprint], in generation
+         order: the per-variant half of its cache key.  Filled by the
+         first [run], before any worker starts, so a study that has run
+         once is only ever read and can be shared between threads. *)
 }
 
 let create ?(ctx = Pass.default_context) ?pipeline spec options =
-  { spec; options; ctx; pipeline; generated = None }
+  { spec; options; ctx; pipeline; generated = None; fingerprints = None }
 
 let of_description ?ctx text options =
   match Description.of_string text with
@@ -180,13 +185,22 @@ let variant_fingerprint v =
   in
   Marshal.to_string (Variant.id v, v.Variant.unroll, body, v.Variant.abi) []
 
+(* The options half of a key, marshalled once per options value. *)
+let run_fingerprint opts = (options_fingerprint opts, machine_fingerprint opts)
+
+let key_of ~variant (options, machine) =
+  Mt_parallel.Cache.digest_key [ variant; options; machine ]
+
 let cache_key opts variant =
-  Mt_parallel.Cache.digest_key
-    [
-      variant_fingerprint variant;
-      options_fingerprint opts;
-      machine_fingerprint opts;
-    ]
+  key_of ~variant:(variant_fingerprint variant) (run_fingerprint opts)
+
+let fingerprints t =
+  match t.fingerprints with
+  | Some fps -> fps
+  | None ->
+    let fps = Array.of_list (List.map variant_fingerprint (variants t)) in
+    t.fingerprints <- Some fps;
+    fps
 
 (* [key] is forced only when there is a cache to look in. *)
 let launch ?cache ~key opts variant =
@@ -219,15 +233,20 @@ let decode_payload data : journal_payload option =
    faults; anything Marshal refuses to read back works. *)
 let corrupt_bytes = "!! corrupt cache entry (injected fault) !!"
 
-let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
-    variant =
+let run_variant ~(config : Run_config.t) ~options ~run_fp ~journal ~resumed
+    ~index ~fingerprint variant =
   let tel = Mt_telemetry.global () in
-  let options =
-    Run_config.plan_options config ~variant_id:(Variant.id variant) options
-  in
+  let id = Variant.id variant in
+  let planned = Run_config.plan_options config ~variant_id:id options in
   (* The variant's one digest: journal lookup and record, the
-     corrupt-cache fault and the cache lookup all use it. *)
-  let key = cache_key options variant in
+     corrupt-cache fault and the cache lookup all use it.
+     [plan_options] hands [options] itself back unless the plan floors
+     this variant. *)
+  let key =
+    key_of ~variant:fingerprint
+      (if planned == options then run_fp else run_fingerprint planned)
+  in
+  let options = planned in
   match Mt_resilience.Journal.find resumed ~key with
   | Some entry when decode_payload entry.Mt_resilience.Journal.data <> None ->
     let result, quarantined =
@@ -237,7 +256,7 @@ let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
     { variant; result; exec = { attempts = 0; quarantined; resumed = true } }
   | _ ->
     Mt_telemetry.span tel "study.variant"
-      ~args:[ ("variant", Variant.id variant) ]
+      ~args:[ ("variant", id) ]
       (fun () ->
         Mt_telemetry.incr tel "sim.variants";
         let fault = Mt_resilience.Fault.find config.Run_config.faults ~index in
@@ -259,7 +278,7 @@ let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
           match
             Mt_resilience.Supervisor.supervise ?fault
               ?wall_budget_s:config.Run_config.wall_budget_s
-              ~key:(Variant.id variant)
+              ~key:id
               (fun () ->
                 launch ?cache:config.Run_config.cache ~key:(fun () -> key)
                   options variant)
@@ -274,7 +293,7 @@ let run_variant ~(config : Run_config.t) ~options ~journal ~resumed ~index
         in
         Option.iter
           (fun w ->
-            Mt_resilience.Journal.record w ~key ~id:(Variant.id variant)
+            Mt_resilience.Journal.record w ~key ~id
               ~data:(encode_payload (result, exec.quarantined)))
           journal;
         { variant; result; exec })
@@ -283,6 +302,8 @@ let run ?(config = Run_config.default) t =
   let options = Run_config.apply_options config t.options in
   let tel = Mt_telemetry.global () in
   let vs = variants t in
+  let fingerprints = fingerprints t in
+  let run_fp = run_fingerprint options in
   let resumed =
     match config.Run_config.resume_from with
     | None -> []
@@ -307,7 +328,8 @@ let run ?(config = Run_config.default) t =
           Mt_parallel.Pool.map_list
             ~domains:(Run_config.effective_domains config)
             (fun (index, variant) ->
-              run_variant ~config ~options ~journal ~resumed ~index variant)
+              run_variant ~config ~options ~run_fp ~journal ~resumed ~index
+                ~fingerprint:fingerprints.(index) variant)
             (List.mapi (fun i v -> (i, v)) vs)))
 
 let resumed_count outcomes =

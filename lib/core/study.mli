@@ -105,9 +105,10 @@ module Run_config : sig
   val plan_options :
     t -> variant_id:string -> Mt_launcher.Options.t -> Mt_launcher.Options.t
   (** The plan's per-variant experiment floor applied to already
-      {!apply_options}-shaped options; identity without a plan or for
-      unfloored variants.  Under the adaptive controller the floor is
-      the starting (minimum) count.  {!run} applies this itself. *)
+      {!apply_options}-shaped options; the options themselves
+      (physically) without a plan or for unfloored variants.  Under the
+      adaptive controller the floor is the starting (minimum) count.
+      {!run} applies this itself. *)
 end
 
 (** Execution history the supervisor attaches to each variant. *)
@@ -146,7 +147,12 @@ val run : ?config:Run_config.t -> t -> outcome list
     before launching it).
 
     Each variant's {!cache_key} is computed once per run and serves
-    the journal, the corrupt-cache fault and the cache lookup.
+    the journal, the corrupt-cache fault and the cache lookup.  The
+    study keeps each variant's fingerprint from its first run on, and
+    a run marshals its options and machine once (again only for a
+    variant the plan floors), so a key costs one digest.  A study that
+    has run once is only read by later runs, so threads may share it
+    ([mt_serve] keeps studies for resubmissions).
 
     Checkpointing: with [config.journal_out], every completed variant
     (including quarantined ones) is appended to a crash-safe journal

@@ -4,9 +4,9 @@
 
    Thread layout: the caller's thread runs the accept loop; each
    connection gets a short-lived handler thread (it parses the request,
-   builds and validates its study, enqueues it, and waits); a fixed
-   pool of worker threads pulls jobs off the shared queue as they free
-   up and runs each job's study as the handler built it — idle workers
+   builds and validates its study or finds it kept, enqueues it, and
+   waits); a fixed pool of worker threads pulls jobs off the shared
+   queue as they free up and runs each job's study — idle workers
    steal whatever is next, so one slow study never convoys the queue
    behind a busy worker.  Each job's simulation work still fans out
    across [Mt_parallel.Pool] domains per the base run config. *)
@@ -39,7 +39,9 @@ let default_config ?(base = Run_config.default) socket_path =
 
 type job = {
   id : int;
-  study : Microtools.Study.t;  (* built and validated by the handler *)
+  study : Microtools.Study.t;  (* built, or found kept, by the handler *)
+  keep : Protocol.submission option;
+      (* the key to keep a freshly built study under once it has run *)
   run : Protocol.run_options;  (* the submission's wire run options *)
   oc : out_channel;
   lock : Mutex.t;
@@ -58,6 +60,11 @@ type t = {
   completed : int Atomic.t;
   failed : int Atomic.t;
   started_at : float;
+  kept : (Protocol.submission, Microtools.Study.t) Hashtbl.t;
+  kept_lock : Mutex.t;  (* taken by handler threads and workers *)
+  mutable kept_variants : int;  (* under [kept_lock] *)
+  studies_built : int Atomic.t;
+  studies_reused : int Atomic.t;
 }
 
 let tel () = Mt_telemetry.global ()
@@ -137,6 +144,55 @@ let study_of_submission (s : Protocol.submission) =
   | Ok opts -> Microtools.Study.of_description s.Protocol.kernel_xml opts
 
 (* ------------------------------------------------------------------ *)
+(* Kept studies                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The daemon keeps the studies of recent distinct submissions, so a
+   resubmission skips parsing and generation and digests each variant's
+   key from the fingerprint its study already holds.  The key is the
+   submission without its run options, which [job_run_config] applies
+   per job.  A study enters the table only once its first job has run
+   it, which generates and fingerprints it: from then on it is only
+   read, so workers can share it.  A study whose job raised is not
+   kept.  At about 3.4 KB per variant, fingerprints included, the
+   bound holds the whole corpus (2,594 variants) in about 13 MiB at
+   worst. *)
+let max_kept_variants = 4096
+
+let kept_key (s : Protocol.submission) =
+  { s with Protocol.run = Protocol.default_run_options }
+
+(* The study a submission runs, and the key to keep it under when it
+   was built here rather than found kept. *)
+let find_study d s =
+  let key = kept_key s in
+  match Mutex.protect d.kept_lock (fun () -> Hashtbl.find_opt d.kept key) with
+  | Some study ->
+    Atomic.incr d.studies_reused;
+    Ok (study, None)
+  | None ->
+    Result.map
+      (fun study ->
+        Atomic.incr d.studies_built;
+        (study, Some key))
+      (study_of_submission s)
+
+(* A study that would take the table past its bound empties it first;
+   one larger than the bound is not kept. *)
+let keep_study d key study =
+  let n = List.length (Microtools.Study.variants study) in
+  if n <= max_kept_variants then
+    Mutex.protect d.kept_lock (fun () ->
+        if not (Hashtbl.mem d.kept key) then begin
+          if d.kept_variants + n > max_kept_variants then begin
+            Hashtbl.reset d.kept;
+            d.kept_variants <- 0
+          end;
+          Hashtbl.replace d.kept key study;
+          d.kept_variants <- d.kept_variants + n
+        end)
+
+(* ------------------------------------------------------------------ *)
 (* Job execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -180,6 +236,7 @@ let execute d job =
     Mt_telemetry.incr (tel ()) "serve.jobs.failed";
     `Failed (Printexc.to_string e)
   | outcomes ->
+    Option.iter (fun key -> keep_study d key job.study) job.keep;
     let quarantined, cache_hit_rate = stream_outcomes d job outcomes in
     let snap =
       Microtools.Study.snapshot ~tool:"mt_serve" ~config job.study outcomes
@@ -302,6 +359,10 @@ let stats d =
     ("serve.jobs.inflight", Atomic.get d.inflight);
     ("serve.jobs.completed", Atomic.get d.completed);
     ("serve.jobs.failed", Atomic.get d.failed);
+    ("serve.studies.built", Atomic.get d.studies_built);
+    ("serve.studies.reused", Atomic.get d.studies_reused);
+    ( "serve.studies.kept_variants",
+      Mutex.protect d.kept_lock (fun () -> d.kept_variants) );
   ]
   @ latency_quantiles () @ cache_counters
 
@@ -364,15 +425,16 @@ let trigger_stop d =
 
 let handle_submit d oc s =
   Mt_telemetry.incr (tel ()) "serve.submissions";
-  match study_of_submission s with
+  match find_study d s with
   | Error msg ->
     Mt_telemetry.incr (tel ()) "serve.rejected.bad_request";
     Protocol.send_response oc (Protocol.Rejected (Protocol.Bad_request msg))
-  | Ok study -> (
+  | Ok (study, keep) -> (
     let job =
       {
         id = Atomic.fetch_and_add d.next_id 1;
         study;
+        keep;
         run = s.Protocol.run;
         oc;
         lock = Mutex.create ();
@@ -479,6 +541,11 @@ let create config =
     completed = Atomic.make 0;
     failed = Atomic.make 0;
     started_at = Unix.gettimeofday ();
+    kept = Hashtbl.create 16;
+    kept_lock = Mutex.create ();
+    kept_variants = 0;
+    studies_built = Atomic.make 0;
+    studies_reused = Atomic.make 0;
   }
 
 let serve d =

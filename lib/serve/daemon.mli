@@ -45,6 +45,14 @@ val default_config :
 
 type t
 
+val max_kept_variants : int
+(** 4,096: how many generated variants, summed over studies, the daemon
+    keeps for resubmissions.  A resubmission whose study is kept skips
+    parsing and generation, and each of its cache keys is one digest.
+    The table is keyed by the submission without its run options; a
+    study that would take it past the bound empties it first, and one
+    larger than the bound is not kept. *)
+
 val create : config -> t
 (** Bind and listen.  Raises [Failure] when the socket path already
     hosts a live daemon, [Unix.Unix_error] when it cannot bind. *)
@@ -62,7 +70,9 @@ val stop : t -> unit
 
 val stats : t -> (string * int) list
 (** The counters served to a [stats] request: uptime (whole seconds),
-    queue depth/capacity, jobs in flight/completed/failed, live
+    queue depth/capacity, jobs in flight/completed/failed, studies
+    built from a submission and reused from the kept table, the
+    variants the table holds, live
     p50/p90/p99 job queue-wait and execution latency (integer
     microseconds, present once at least one job has run under an
     enabled telemetry handle), and the shared cache's

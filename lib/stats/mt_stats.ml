@@ -394,43 +394,71 @@ module Json = struct
   (* Printing                                                            *)
   (* ------------------------------------------------------------------ *)
 
-  let escape str =
-    let b = Buffer.create (String.length str + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      str;
-    Buffer.contents b
+  (* The printed bytes are a contract: snapshots, plans, journals and
+     history manifests are committed, digested and diffed.  So this
+     printer writes exactly what the Printf-based one before it did
+     (test/json_reference.ml keeps that one, and QCheck compares the
+     two), only without allocating per string or per level: it escapes
+     straight into the output buffer, copying runs that need no escape
+     whole, and formats numbers with [string_of_int] and the C
+     formatter behind [Printf]'s [%g]/[%f] instead of its interpreter. *)
+
+  external format_float : string -> float -> string = "caml_format_float"
+
+  let hex_digits = "0123456789abcdef"
+
+  let add_escaped b s =
+    let n = String.length s in
+    let rec go start i =
+      if i = n then Buffer.add_substring b s start (i - start)
+      else
+        match s.[i] with
+        | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring b s start (i - start);
+          (match c with
+          | '"' -> Buffer.add_string b "\\\""
+          | '\\' -> Buffer.add_string b "\\\\"
+          | '\n' -> Buffer.add_string b "\\n"
+          | '\r' -> Buffer.add_string b "\\r"
+          | '\t' -> Buffer.add_string b "\\t"
+          | c ->
+            Buffer.add_string b "\\u00";
+            Buffer.add_char b hex_digits.[Char.code c lsr 4];
+            Buffer.add_char b hex_digits.[Char.code c land 15]);
+          go (i + 1) (i + 1)
+        | _ -> go start (i + 1)
+    in
+    go 0 0
 
   (* Shortest decimal form that parses back to the same float: snapshots
-     must round-trip exactly (save → load → diff is empty). *)
-  let float_str f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+     must round-trip exactly (save → load → diff is empty).  An integer
+     below 1e15 prints as [%.0f] would, so [-0.] is ["-0"]; infinities
+     print as [inf] and [-inf]. *)
+  let add_float b f =
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string b
+        (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
     else begin
-      let s = Printf.sprintf "%.15g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+      let s = format_float "%.15g" f in
+      Buffer.add_string b
+        (if float_of_string s = f then s else format_float "%.17g" f)
+    end
+
+  let rec pad b ~indent n =
+    if indent && n > 0 then begin
+      Buffer.add_string b "  ";
+      pad b ~indent (n - 1)
     end
 
   let rec write b ~indent ~level v =
-    let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
     let newline () = if indent then Buffer.add_char b '\n' in
     match v with
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (if x then "true" else "false")
-    | Num x ->
-      if Float.is_nan x || Float.is_integer (x /. 0.) then Buffer.add_string b "null"
-      else Buffer.add_string b (float_str x)
+    | Num x -> if Float.is_nan x then Buffer.add_string b "null" else add_float b x
     | Str s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      add_escaped b s;
       Buffer.add_char b '"'
     | List [] -> Buffer.add_string b "[]"
     | List xs ->
@@ -442,11 +470,11 @@ module Json = struct
             Buffer.add_char b ',';
             newline ()
           end;
-          pad (level + 1);
+          pad b ~indent (level + 1);
           write b ~indent ~level:(level + 1) x)
         xs;
       newline ();
-      pad level;
+      pad b ~indent level;
       Buffer.add_char b ']'
     | Obj [] -> Buffer.add_string b "{}"
     | Obj members ->
@@ -458,15 +486,14 @@ module Json = struct
             Buffer.add_char b ',';
             newline ()
           end;
-          pad (level + 1);
+          pad b ~indent (level + 1);
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
-          Buffer.add_string b "\":";
-          if indent then Buffer.add_char b ' ';
+          add_escaped b k;
+          Buffer.add_string b (if indent then "\": " else "\":");
           write b ~indent ~level:(level + 1) x)
         members;
       newline ();
-      pad level;
+      pad b ~indent level;
       Buffer.add_char b '}'
 
   let to_string ?(indent = false) v =

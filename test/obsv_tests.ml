@@ -56,6 +56,100 @@ let test_json_unicode_escape () =
   | Ok _ -> Alcotest.fail "not a string"
   | Error msg -> Alcotest.fail msg
 
+(* The printer against its Printf-based reference: the same bytes,
+   compact and indented, on documents full of the awkward cases —
+   signed zeros, integers either side of 1e15, arbitrary bit patterns
+   (NaN and infinities among them), control bytes, quotes, backslashes
+   and bytes from 0x80 up. *)
+let gen_json =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        oneofl [ 0.; -0.; nan; infinity; neg_infinity; 1e15; -1e15; 0.1; 1e-300 ];
+        map (fun k -> 1e15 +. float_of_int k) (-2000 -- 2000);
+        map (fun k -> -1e15 +. float_of_int k) (-2000 -- 2000);
+        map float_of_int int;
+        map Int64.float_of_bits ui64;
+        float;
+        map (fun k -> float_of_int k /. 1000.) (-1_000_000 -- 1_000_000);
+      ]
+  in
+  let byte =
+    oneof
+      [
+        char_range '\000' '\031';
+        oneofl [ '"'; '\\'; '/'; '\127' ];
+        printable;
+        char_range '\128' '\255';
+      ]
+  in
+  let str = string_size ~gen:byte (0 -- 12) in
+  sized_size (0 -- 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 5) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 5) (pair str (self (depth - 1)))) );
+             ])
+
+let arbitrary_json = QCheck.make ~print:(fun d -> Json_reference.to_string d) gen_json
+
+let prop_printer_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"json: printer bytes equal the reference"
+    arbitrary_json (fun d ->
+      Json.to_string d = Json_reference.to_string d
+      && Json.to_string ~indent:true d = Json_reference.to_string ~indent:true d)
+
+(* A real run's snapshot: a sample of loadstore's variants, measured. *)
+let test_printer_on_loadstore_snapshot () =
+  let opts =
+    {
+      (Options.default Config.nehalem_x5650_2s) with
+      Options.array_bytes = 16 * 1024;
+      repetitions = 1;
+      experiments = 2;
+    }
+  in
+  match
+    Microtools.Study.of_description
+      (Profile_tests.read_file
+         (Filename.concat Profile_tests.corpus_dir "loadstore.xml"))
+      opts
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok study ->
+    let outcomes =
+      Microtools.Study.variants study
+      |> List.filteri (fun i _ -> i mod 64 = 0)
+      |> List.map (fun v ->
+             {
+               Microtools.Study.variant = v;
+               result = Microtools.Study.cached_launch opts v;
+               exec = { Microtools.Study.attempts = 1; quarantined = None; resumed = false };
+             })
+    in
+    let doc = Snapshot.to_json (Microtools.Study.snapshot study outcomes) in
+    check_str "compact" (Json_reference.to_string doc) (Json.to_string doc);
+    check_str "indented"
+      (Json_reference.to_string ~indent:true doc)
+      (Json.to_string ~indent:true doc)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -593,6 +687,9 @@ let tests =
       test_json_parse_errors;
     Alcotest.test_case "json decodes unicode escapes" `Quick
       test_json_unicode_escape;
+    QCheck_alcotest.to_alcotest prop_printer_matches_reference;
+    Alcotest.test_case "json printer on a loadstore snapshot" `Quick
+      test_printer_on_loadstore_snapshot;
     Alcotest.test_case "snapshot save/load round-trips" `Quick
       test_snapshot_round_trip;
     Alcotest.test_case "snapshot loads newer schema ignoring unknown fields"

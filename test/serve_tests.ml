@@ -398,7 +398,8 @@ let temp_socket () =
   Sys.remove path;
   path
 
-let with_daemon ?(workers = 2) ?(queue = 8) ?history_dir ?(log_json = false) f =
+let with_daemon ?(workers = 2) ?(queue = 8) ?state_dir ?history_dir
+    ?(log_json = false) f =
   let socket = temp_socket () in
   let cache_dir = temp_dir "mtservecache" in
   let cache = Mt_parallel.Cache.create ~dir:cache_dir () in
@@ -408,7 +409,7 @@ let with_daemon ?(workers = 2) ?(queue = 8) ?history_dir ?(log_json = false) f =
       Daemon.socket_path = socket;
       queue_capacity = queue;
       workers;
-      state_dir = None;
+      state_dir;
       history_dir;
       log_json;
       base;
@@ -432,7 +433,8 @@ let with_daemon ?(workers = 2) ?(queue = 8) ?history_dir ?(log_json = false) f =
     stop ();
     raise e
 
-let one_shot_csv_text ?config () =
+(* [small_submission] as a local study. *)
+let small_study () =
   let opts =
     {
       (Mt_launcher.Options.default Mt_machine.Config.nehalem_x5650_2s) with
@@ -446,9 +448,11 @@ let one_shot_csv_text ?config () =
     Microtools.Study.of_description small_submission.Protocol.kernel_xml opts
   with
   | Error msg -> Alcotest.failf "one-shot study: %s" msg
-  | Ok study ->
-    let outcomes = Microtools.Study.run ?config study in
-    Mt_stats.Csv.to_string (Microtools.Study.csv outcomes)
+  | Ok study -> study
+
+let one_shot_csv_text ?config () =
+  let outcomes = Microtools.Study.run ?config (small_study ()) in
+  Mt_stats.Csv.to_string (Microtools.Study.csv outcomes)
 
 let test_daemon_end_to_end () =
   with_daemon (fun ~socket ~daemon:_ ->
@@ -510,6 +514,155 @@ let test_daemon_concurrent_clients () =
               expected
               (Mt_stats.Csv.to_string (Option.get summary.Client.csv)))
         results)
+
+(* ------------------------------------------------------------------ *)
+(* Kept studies                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let stat daemon key =
+  match List.assoc_opt key (Daemon.stats daemon) with
+  | Some v -> v
+  | None -> Alcotest.failf "missing counter %s" key
+
+(* Floors every other variant of [small_submission]'s study to one
+   experiment. *)
+let small_plan () =
+  {
+    sample_plan with
+    Mt_optimize.Plan.keep =
+      List.filteri (fun i _ -> i mod 2 = 0)
+        (Microtools.Study.variants (small_study ()))
+      |> List.map (fun v ->
+             {
+               (List.hd sample_plan.Mt_optimize.Plan.keep) with
+               Mt_optimize.Plan.variant = Mt_creator.Variant.id v;
+               experiments = Some 1;
+             });
+  }
+
+(* The snapshot members a run's options decide: the options block and
+   every variant's statistics (their bootstrap draws from the seed). *)
+let measured_members snapshot =
+  List.map
+    (fun key -> Option.map Mt_obsv.Json.to_string (Mt_obsv.Json.member key snapshot))
+    [ "options"; "variants" ]
+
+let local_members config =
+  let study = small_study () in
+  let outcomes = Microtools.Study.run ~config study in
+  measured_members
+    (Mt_obsv.Snapshot.to_json (Microtools.Study.snapshot ~config study outcomes))
+
+(* A resubmission runs the study its first submission built, under its
+   own run options: the seed and the plan still reach every variant. *)
+let test_daemon_reuses_studies () =
+  with_daemon (fun ~socket ~daemon ->
+      let submit run =
+        match Client.submit ~socket { small_submission with Protocol.run } with
+        | Error msg -> Alcotest.failf "submit: %s" msg
+        | Ok { Client.csv = Some csv; snapshot = Some snapshot; _ } ->
+          (Mt_stats.Csv.to_string csv, measured_members snapshot)
+        | Ok _ -> Alcotest.fail "no CSV or snapshot streamed"
+      in
+      let first, first_members = submit Protocol.default_run_options in
+      check_string "identical submissions stream identical bytes" first
+        (fst (submit Protocol.default_run_options));
+      check_int "built once" 1 (stat daemon "serve.studies.built");
+      check_int "reused once" 1 (stat daemon "serve.studies.reused");
+      let seed = Microtools.Study.Run_config.make ~seed:7 () in
+      let seeded, seeded_members =
+        submit { Protocol.default_run_options with seed = Some 7 }
+      in
+      check_string "a reused study under another seed: the local CSV"
+        (one_shot_csv_text ~config:seed ()) seeded;
+      check_bool "... and the local snapshot" true
+        (seeded_members = local_members seed);
+      check_bool "the seed reaches the snapshot" true
+        (seeded_members <> first_members);
+      let plan = small_plan () in
+      let planned, _ = submit { Protocol.default_run_options with plan = Some plan } in
+      check_string "a reused study under a plan: the local CSV"
+        (one_shot_csv_text ~config:(Microtools.Study.Run_config.make ~plan ()) ())
+        planned;
+      check_bool "the plan reaches the CSV" true (planned <> first);
+      check_int "still built once" 1 (stat daemon "serve.studies.built");
+      check_int "reused three times" 3 (stat daemon "serve.studies.reused");
+      check_int "its variants are kept" 14
+        (stat daemon "serve.studies.kept_variants");
+      match Client.metrics ~socket with
+      | Error msg -> Alcotest.failf "metrics: %s" msg
+      | Ok m ->
+        check_bool "metrics carry the study counters" true
+          (List.assoc_opt "serve.studies.built" m.Protocol.m_counters = Some 1
+          && List.assoc_opt "serve.studies.reused" m.Protocol.m_counters = Some 3))
+
+(* More distinct studies than the bound holds: each one that would pass
+   it empties the table first.  Every variant raises before the
+   launcher, so a job costs generation and printing only. *)
+let test_daemon_bounds_kept_studies () =
+  let kernel_xml =
+    Profile_tests.read_file
+      (Filename.concat Profile_tests.corpus_dir "loadstore.xml")
+  in
+  let n =
+    match
+      Microtools.Study.of_description kernel_xml
+        (Mt_launcher.Options.default Mt_machine.Config.nehalem_x5650_2s)
+    with
+    | Ok study -> List.length (Microtools.Study.variants study)
+    | Error msg -> Alcotest.failf "loadstore: %s" msg
+  in
+  let faults =
+    List.init n (fun index ->
+        { Mt_resilience.Fault.index; kind = Mt_resilience.Fault.Raise })
+  in
+  with_daemon ~workers:1 (fun ~socket ~daemon ->
+      let kept () = stat daemon "serve.studies.kept_variants" in
+      let submit array_kb =
+        match
+          Client.submit ~socket
+            {
+              small_submission with
+              Protocol.kernel_xml;
+              array_kb;
+              run = { Protocol.default_run_options with faults };
+            }
+        with
+        | Ok summary ->
+          check_int "every variant quarantined" n summary.Client.quarantined
+        | Error msg -> Alcotest.failf "submit: %s" msg
+      in
+      let studies = (Daemon.max_kept_variants / n) + 1 in
+      for array_kb = 1 to studies do
+        submit array_kb;
+        check_bool
+          (Printf.sprintf "kept variants within the bound after %d studies" array_kb)
+          true
+          (kept () <= Daemon.max_kept_variants)
+      done;
+      check_int "the last study emptied the table" n (kept ());
+      submit studies;
+      submit 1;
+      check_int "built" (studies + 1) (stat daemon "serve.studies.built");
+      check_int "reused" 1 (stat daemon "serve.studies.reused"))
+
+(* A job whose run raises (here: its crash journal cannot be created)
+   leaves nothing behind, though its study was generated. *)
+let test_daemon_drops_failed_studies () =
+  let state_dir = temp_dir "mtservestate" in
+  with_daemon ~state_dir (fun ~socket ~daemon ->
+      Unix.rmdir state_dir;
+      let failed () =
+        match Client.submit ~socket small_submission with
+        | Ok _ -> Alcotest.fail "the job should fail without its state dir"
+        | Error _ -> ()
+      in
+      failed ();
+      check_int "failed" 1 (stat daemon "serve.jobs.failed");
+      check_int "not kept" 0 (stat daemon "serve.studies.kept_variants");
+      failed ();
+      check_int "built again" 2 (stat daemon "serve.studies.built");
+      check_int "never reused" 0 (stat daemon "serve.studies.reused"))
 
 (* Warm jobs stream within microseconds of being queued: each client
    must still read [Accepted] first and only whole, decodable lines
@@ -886,6 +1039,11 @@ let suite =
       test_daemon_concurrent_clients;
     Alcotest.test_case "daemon writes accepted first" `Quick
       test_daemon_accepted_first;
+    Alcotest.test_case "daemon reuses studies" `Quick test_daemon_reuses_studies;
+    Alcotest.test_case "daemon bounds kept studies" `Quick
+      test_daemon_bounds_kept_studies;
+    Alcotest.test_case "daemon drops failed studies" `Quick
+      test_daemon_drops_failed_studies;
     Alcotest.test_case "daemon survives a hung-up client" `Quick
       test_daemon_survives_hung_up_client;
     Alcotest.test_case "daemon bad request" `Quick test_daemon_bad_request;

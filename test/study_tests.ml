@@ -217,6 +217,133 @@ let test_plot_of_table () =
     check_int "w skips the bad cell" 1 (List.length w.Microtools.Ascii_plot.points)
   | _ -> Alcotest.fail "two series expected"
 
+(* ------------------------------------------------------------------ *)
+(* Cache keys                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let corpus_names () =
+  Sys.readdir Profile_tests.corpus_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".xml")
+  |> List.map Filename.remove_extension
+  |> List.sort compare
+
+(* A CI submission's shape: 32 KiB arrays, 2 repetitions, 5 experiments. *)
+let key_opts =
+  {
+    (Options.default x5650) with
+    Options.array_bytes = 32 * 1024;
+    per = Options.Per_element;
+    repetitions = 2;
+    experiments = 5;
+  }
+
+let corpus_study name =
+  match
+    Microtools.Study.of_description
+      (Profile_tests.read_file
+         (Filename.concat Profile_tests.corpus_dir (name ^ ".xml")))
+      key_opts
+  with
+  | Ok study -> study
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+(* Cache directories and journals outlive the binary that wrote them:
+   a key that drifts turns every entry they hold into a miss.  These
+   hexes change only with a bump of [Mt_parallel.Cache]'s format
+   version. *)
+let test_cache_keys_pinned () =
+  List.iter
+    (fun (name, id, expected) ->
+      let study = corpus_study name in
+      match
+        List.find_opt
+          (fun v -> Variant.id v = id)
+          (Microtools.Study.variants study)
+      with
+      | None -> Alcotest.failf "%s has no variant %s" name id
+      | Some v ->
+        Alcotest.(check string) id expected
+          (Microtools.Study.cache_key key_opts v))
+    [
+      ("storestream", "storestream-u_1", "8aead5f85ac33ad06aef72871326d1d2");
+      ( "loadstore", "loadstore-u_8-swB_SLSLLLLL",
+        "9e303fb13f7c36ac4261c1cc81dbdc37" );
+      ("matmul200", "matmul200-u_8", "4339f3585da28e8480053cf12c117cd7");
+    ]
+
+(* A plan flooring every third variant to 2 experiments. *)
+let floor_plan study =
+  {
+    Mt_optimize.Plan.schema = Mt_optimize.Plan.schema_version;
+    created_at = 0.;
+    history_dir = "";
+    runs = 6;
+    kernel_name = "";
+    kernel_hash = "";
+    machine_name = "";
+    machine_hash = "";
+    knobs = Mt_optimize.Optimizer.default_knobs;
+    keep =
+      List.filteri
+        (fun i _ -> i mod 3 = 0)
+        (Microtools.Study.variants study)
+      |> List.map (fun v ->
+             {
+               Mt_optimize.Plan.variant = Variant.id v;
+               experiments = Some 2;
+               stable = true;
+               cov = 0.;
+               rciw = 0.;
+               trend = "stationary";
+             });
+  }
+
+(* Every variant's journal key is its [Study.cache_key] under the
+   options it ran with.  An injected raise at every index stops each
+   variant before the launcher, so the whole corpus journals in well
+   under a second. *)
+let test_journal_keys_are_cache_keys () =
+  List.iter
+    (fun name ->
+      let study = corpus_study name in
+      let variants = Microtools.Study.variants study in
+      List.iter
+        (fun plan ->
+          let journal = Filename.temp_file "mt-keys" ".journal" in
+          let config =
+            Microtools.Study.Run_config.make ~journal_out:journal ?plan
+              ~faults:
+                (List.mapi
+                   (fun index _ ->
+                     { Mt_resilience.Fault.index; kind = Mt_resilience.Fault.Raise })
+                   variants)
+              ()
+          in
+          ignore (Microtools.Study.run ~config study);
+          let entries =
+            match Mt_resilience.Journal.load journal with
+            | Ok entries -> entries
+            | Error msg -> Alcotest.failf "%s: %s" name msg
+          in
+          Sys.remove journal;
+          check_int (name ^ ": one record per variant") (List.length variants)
+            (List.length entries);
+          List.iter2
+            (fun v entry ->
+              let options =
+                Microtools.Study.Run_config.plan_options config
+                  ~variant_id:(Variant.id v)
+                  (Microtools.Study.Run_config.apply_options config key_opts)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s%s key" (Variant.id v)
+                   (if plan = None then "" else " (planned)"))
+                (Microtools.Study.cache_key options v)
+                entry.Mt_resilience.Journal.key)
+            variants entries)
+        [ None; Some (floor_plan study) ])
+    (corpus_names ())
+
 let tests =
   [
     Alcotest.test_case "study generates once" `Quick test_study_generates_once;
@@ -225,6 +352,9 @@ let tests =
     Alcotest.test_case "study min per unroll" `Quick test_study_min_per_unroll;
     Alcotest.test_case "study from description" `Quick test_study_of_description;
     Alcotest.test_case "study csv" `Quick test_study_csv;
+    Alcotest.test_case "cache keys pinned" `Quick test_cache_keys_pinned;
+    Alcotest.test_case "journal keys are cache keys" `Quick
+      test_journal_keys_are_cache_keys;
     Alcotest.test_case "exp table width check" `Quick test_exp_table_width_check;
     Alcotest.test_case "exp table print" `Quick test_exp_table_print;
     Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
