@@ -17,17 +17,6 @@ type t
 (** Number of attribution categories (13). *)
 val categories : int
 
-(** Category index constants: [cat_port_base + booker index] is an
-    execution-port category (Load 0, Store 1, Alu 2, Fp_add 3,
-    Fp_mul/Fp_div 4, Branch 5); [cat_mem_base + level] a memory
-    category (L1 0, L2 1, L3 2, DRAM 3). *)
-val cat_frontend : int
-
-val cat_window : int
-val cat_dependency : int
-val cat_port_base : int
-val cat_mem_base : int
-
 (** Stable display name of a category index. *)
 val category_name : int -> string
 

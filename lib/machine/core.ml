@@ -667,6 +667,7 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
   let mem_st_addr = memory.Memory.st_addr in
   let mem_lshift = mem_l1.Cache.line_shift in
   let mem_tlb_on = memory.Memory.tlb_on in
+  let mem_prefetcher_on = memory.Memory.prefetcher_on in
   let mem_fast_ok = memory.Memory.alias_scale = 0. in
   let memo_n = Array.length mem_memo_line in
   let l1_lat_f = float_of_int cfg.l1_latency_cycles in
@@ -803,74 +804,72 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
            end
            else begin
              (* Open-coded memo-hit access — the steady state of every
-                strided stream.  All checks up to the mutation block
-                are pure, so any failure falls back to the full
-                pipeline with no state touched; [-1.] marks the
-                fallback (ready times are never negative). *)
-             let r =
-               if mem_fast_ok && (not d.f_nt) && d.f_bytes >= 1 then begin
-                 let line = addr lsr mem_lshift in
-                 if (addr + d.f_bytes - 1) lsr mem_lshift <> line then -1.
-                 else begin
-                   let slot =
-                     let sl = ref (-1) in
-                     let i = ref 0 in
-                     while !sl < 0 && !i < memo_n do
-                       if Array.unsafe_get mem_memo_line !i = line then
-                         sl := !i;
-                       incr i
-                     done;
-                     !sl
-                   in
-                   if slot < 0 then -1.
-                   else begin
-                     let tlb_ok =
-                       (not mem_tlb_on)
-                       ||
-                       let page = addr lsr 12 in
-                       let dset =
-                         let m = mem_dtlb.Cache.set_mask in
-                         if m >= 0 then page land m
-                         else page mod mem_dtlb.Cache.sets
-                       in
-                       page = Array.unsafe_get mem_dtlb.Cache.last_line dset
-                     in
-                     if not tlb_ok then -1.
-                     else begin
-                       let lset =
-                         let m = mem_l1.Cache.set_mask in
-                         if m >= 0 then line land m
-                         else line mod mem_l1.Cache.sets
-                       in
-                       if line <> Array.unsafe_get mem_l1.Cache.last_line lset
-                       then -1.
-                       else begin
-                         (* Exactly the mutations [Memory.access_nt]
-                            performs on this path, in the same order. *)
-                         memory.Memory.c_accesses <-
-                           memory.Memory.c_accesses + 1;
-                         memory.Memory.last_split <- false;
-                         if mem_tlb_on then
-                           mem_dtlb.Cache.hit_count <-
-                             mem_dtlb.Cache.hit_count + 1;
-                         mem_l1.Cache.hit_count <-
-                           mem_l1.Cache.hit_count + 1;
-                         memory.Memory.last_level <- Memory.L1;
-                         memory.Memory.c_l1_hits <-
-                           memory.Memory.c_l1_hits + 1;
-                         Array.unsafe_set mem_st_addr
-                           (Array.unsafe_get mem_memo_stream slot)
-                           addr;
-                         s.s_issue +. l1_lat_f
-                       end
-                     end
-                   end
-                 end
+                strided stream, and the only reader of the memo.  The
+                checks that find the memo slot are pure, so a miss falls
+                back to the full pipeline with no state touched.  A hit
+                is finished here, with exactly the mutations
+                [Memory.access_nt]'s scan path performs. *)
+             let line = addr lsr mem_lshift in
+             let slot =
+               if
+                 mem_fast_ok && (not d.f_nt) && d.f_bytes >= 1
+                 && (addr + d.f_bytes - 1) lsr mem_lshift = line
+               then begin
+                 let sl = ref (-1) in
+                 let i = ref 0 in
+                 while !sl < 0 && !i < memo_n do
+                   if Array.unsafe_get mem_memo_line !i = line then sl := !i;
+                   incr i
+                 done;
+                 !sl
                end
-               else -1.
+               else -1
              in
-             let data_ready =
-               if r >= 0. then r
+             let dc =
+               if slot >= 0 then begin
+                 memory.Memory.c_accesses <- memory.Memory.c_accesses + 1;
+                 memory.Memory.last_split <- false;
+                 Array.unsafe_set mem_st_addr (Array.unsafe_get mem_memo_stream slot) addr;
+                 let now =
+                   if not mem_tlb_on then s.s_issue
+                   else begin
+                     let page = addr lsr 12 in
+                     let dset =
+                       let m = mem_dtlb.Cache.set_mask in
+                       if m >= 0 then page land m else page mod mem_dtlb.Cache.sets
+                     in
+                     if page = Array.unsafe_get mem_dtlb.Cache.last_line dset then begin
+                       mem_dtlb.Cache.hit_count <- mem_dtlb.Cache.hit_count + 1;
+                       s.s_issue
+                     end
+                     else if Cache.access mem_dtlb page then s.s_issue
+                     else s.s_issue +. Memory.translate_miss memory ~now:s.s_issue ~page
+                   end
+                 in
+                 let lset =
+                   let m = mem_l1.Cache.set_mask in
+                   if m >= 0 then line land m else line mod mem_l1.Cache.sets
+                 in
+                 let l1_hit =
+                   if line = Array.unsafe_get mem_l1.Cache.last_line lset then begin
+                     mem_l1.Cache.hit_count <- mem_l1.Cache.hit_count + 1;
+                     true
+                   end
+                   else Cache.access mem_l1 line
+                 in
+                 (* The ready time feeds the arithmetic directly: bound
+                    to a name, a float joined from an addition and a
+                    call would be boxed on every hit. *)
+                 (if l1_hit then begin
+                    memory.Memory.last_level <- Memory.L1;
+                    memory.Memory.c_l1_hits <- memory.Memory.c_l1_hits + 1;
+                    now +. l1_lat_f
+                  end
+                  else
+                    Memory.miss_l1 memory ~now ~line ~streamed:mem_prefetcher_on
+                      ~write:d.f_write)
+                 +. d.f_lat -. 1.
+               end
                else begin
                  let dr =
                    Memory.access_nt memory ~nt:d.f_nt ~now:s.s_issue ~addr
@@ -880,10 +879,9 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
                    ignore
                      (Booker.book_span bookers.(if d.f_write then 1 else 0)
                         ~start:(iceil s.s_issue) ~occupancy:1);
-                 dr
+                 dr +. d.f_lat -. 1.
                end
              in
-             let dc = data_ready +. d.f_lat -. 1. in
              if dc > s.s_completion then s.s_completion <- dc
            end
          end;

@@ -88,7 +88,10 @@ val run_reference :
 (** The original per-instruction interpreter, kept as the oracle for
     the fast path: same cycle accounting, same memory-access order,
     bit-identical outcomes — including identical {!Attribution}
-    records through [attr].  Slower; use {!run} unless comparing. *)
+    records through [attr].  It reaches memory only through
+    {!Memory.access}, which never reads the memo {!run} serves repeat
+    accesses from, so comparing the two checks the memo too.  Slower;
+    use {!run} unless comparing. *)
 
 val run_program :
   ?init:(Mt_isa.Reg.t * int) list ->

@@ -189,8 +189,6 @@ let apply_effect t eff =
     if dst >= 0 then t.gpr.(dst) <- v;
     t.flags <- v
 
-let gpr_value t i = t.gpr.(i)
-
 (* Signed interpretation throughout; the generated kernels use small
    counters and addresses, where A/B coincide with G/L. *)
 let branch_taken t (c : Insn.cond) =
@@ -201,5 +199,3 @@ let branch_taken t (c : Insn.cond) =
   | Insn.GE | Insn.AE | Insn.NS -> t.flags >= 0
   | Insn.L | Insn.B | Insn.S -> t.flags < 0
   | Insn.LE | Insn.BE -> t.flags <= 0
-
-let flags_value t = t.flags

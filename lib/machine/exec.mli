@@ -62,13 +62,7 @@ val effect_is_none : effect -> bool
 (** Whether the effect is a no-op, so replay loops can precompute a
     skip flag instead of paying a call per instruction. *)
 
-val gpr_value : t -> int -> int
-(** Value of the GPR with the given {!gpr_index} slot. *)
-
 val branch_taken : t -> Mt_isa.Insn.cond -> bool
 (** Evaluate a condition against the current flags. *)
-
-val flags_value : t -> int
-(** The signed result the flags encode (for tests). *)
 
 val reset : t -> unit

@@ -20,5 +20,3 @@ let alloc t ~size ~align ~offset =
   { base; size }
 
 let reset t = t.next <- t.start
-
-let allocated_bytes t = t.next - t.start

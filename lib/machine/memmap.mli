@@ -25,6 +25,3 @@ val alloc : t -> size:int -> align:int -> offset:int -> region
 
 val reset : t -> unit
 (** Release everything (the next allocation starts over). *)
-
-val allocated_bytes : t -> int
-(** Total bytes currently reserved, guards included. *)

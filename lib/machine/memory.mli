@@ -49,14 +49,19 @@ type t = {
   mutable last_split : bool;
 }
 (** Exposed concretely — like {!Exec.t} and {!Cache.t} — so
-    {!Core.run}'s replay loop can open-code the steady-state access
-    (single line, memo hit, repeat dTLB page, repeat L1 line) without
-    a cross-module call or a boxed float return.  The inline path
-    performs exactly the mutations {!access} would; every check it
-    makes before deciding is pure, so any failure falls back to
-    {!access_nt} with no state touched.  All other users must mutate
-    it only through {!access}; the launcher's trace lanes read the
-    [l1]/[l2]/[l3] caches' hit/miss counters. *)
+    {!Core.run}'s replay loop can open-code the steady-state access (a
+    single line whose stream scan [memo_line] holds as a pure hit)
+    without a cross-module call or a boxed float return.  That block is
+    the only reader of the memo: this module's own accesses always take
+    the stream-table scans, so {!Core.run_reference} checks the memo
+    against the scans it replaces.  The block's checks before it
+    commits (no alias interference, not non-temporal, one line, memo
+    hit) are pure, so a miss falls back to {!access_nt} with no state
+    touched.  A memo hit never falls back: the block performs exactly
+    the mutations {!access} would, finishing a dTLB miss with
+    {!translate_miss} and an L1 miss with {!miss_l1}.  All other users
+    must mutate it only through {!access}; the launcher's trace lanes
+    read the [l1]/[l2]/[l3] caches' hit/miss counters. *)
 
 type counters = {
   accesses : int;
@@ -106,6 +111,21 @@ val access_nt :
 (** Exactly {!access}, with the non-temporal flag passed plainly.  The
     core's allocation-free path uses this so a dynamic [~nt] never
     constructs an option per access. *)
+
+val translate_miss : t -> now:float -> page:int -> float
+(** The translation penalty of an access at [now] to [page], which
+    missed the dTLB: a fixed re-lookup on an STLB hit, else a page walk
+    through the single walker (walks serialize).  Counts the miss and
+    any walk.  The open-coded access in {!Core.run} calls it after its
+    dTLB lookup missed; no one else should. *)
+
+val miss_l1 : t -> now:float -> line:int -> streamed:bool -> write:bool -> float
+(** Serve an access at [now] to [line], which missed L1: look it up in
+    L2 and L3 (allocating it at every level it missed), record and
+    count the serving level, and charge the line fill.  [streamed]
+    fills are covered by the prefetcher.  Returns the data-ready time.
+    The open-coded access in {!Core.run} calls it after its L1 lookup
+    missed; no one else should. *)
 
 val counters : t -> counters
 

@@ -433,11 +433,14 @@ module Json = struct
   (* Shortest decimal form that parses back to the same float: snapshots
      must round-trip exactly (save → load → diff is empty).  An integer
      below 1e15 prints as [%.0f] would, so [-0.] is ["-0"]; infinities
-     print as [inf] and [-inf]. *)
+     print as [1e999] and [-1e999], JSON numbers that overflow back to
+     them. *)
   let add_float b f =
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string b
         (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
+    else if Float.abs f = infinity then
+      Buffer.add_string b (if f > 0. then "1e999" else "-1e999")
     else begin
       let s = format_float "%.15g" f in
       Buffer.add_string b

@@ -204,13 +204,14 @@ module Json : sig
       part of the format: committed snapshots, plans, journals and
       history manifests stay byte-identical across releases.  An
       integral number below 1e15 in magnitude prints as [%.0f] would
-      (["-0"] for [-0.]); any other prints [%.15g] when that reads back
-      as the same float, else [%.17g].  NaN renders as [null];
-      infinities render as [inf] and [-inf], which {!of_string}
-      refuses.  A string escapes only the quote, the backslash, newline,
-      carriage return and tab (each as a backslash pair) and the other
-      bytes below 0x20 (as [\u00XX], lowercase hex); every other byte
-      is copied as is. *)
+      (["-0"] for [-0.]); any other finite one prints [%.15g] when
+      that reads back as the same float, else [%.17g].  NaN renders as
+      [null]; infinities render as [1e999] and [-1e999], valid JSON
+      numbers that {!of_string}, like other parsers, reads back as
+      infinities.  A string escapes only the quote, the backslash,
+      newline, carriage return and tab (each as a backslash pair) and
+      the other bytes below 0x20 (as [\u00XX], lowercase hex); every
+      other byte is copied as is. *)
 
   val of_string : string -> (t, string) result
   (** Parse a complete document; the error names the byte offset. *)

@@ -131,6 +131,38 @@ let test_equiv_alias_sharers () =
          i Insn.ADD [ Operand.imm 4; Operand.reg rsi ];
        ])
 
+(* [n] 4-byte loads [apart] bytes apart off one pointer that steps 4
+   bytes per trip: each stream revisits a line 16 times, so the
+   repeats are memo hits in [Core.run]. *)
+let loads_apart ~n ~apart =
+  loop
+    (List.init n (fun k ->
+         i Insn.MOVSS
+           [ Operand.mem ~base:rsi ~disp:(k * apart) (); Operand.reg (Reg.xmm (k mod 4)) ])
+    @ [ i Insn.ADD [ Operand.imm 4; Operand.reg rsi ] ])
+
+(* Every branch of [Core.run]'s memo-hit block, against a reference
+   that never reads the memo.  The streams share one L1 set (4 KiB
+   apart) or one dTLB set (64 KiB apart). *)
+let test_equiv_memo_hits () =
+  let init = [ (rdi, 999); (rsi, 1 lsl 22) ] in
+  check_equivalent ~what:"memo hits on non-MRU L1 ways" ~init
+    (loads_apart ~n:4 ~apart:4096);
+  check_equivalent ~what:"memo hits missing L1" ~init (loads_apart ~n:9 ~apart:4096);
+  check_equivalent ~what:"memo hits missing the dTLB" ~init
+    (loads_apart ~n:5 ~apart:65536);
+  (* Lines revisited out of order, behind and ahead of the stream. *)
+  check_equivalent ~what:"line-revisiting loop"
+    ~init:[ (rdi, 210); (rsi, 1 lsl 22) ]
+    (loop
+       [
+         i Insn.MOVSS [ Operand.mem ~base:rsi ~disp:192 (); Operand.reg (Reg.xmm 0) ];
+         i Insn.MOVSS [ Operand.mem ~base:rsi ~disp:4 (); Operand.reg (Reg.xmm 1) ];
+         i Insn.MOVSS [ Operand.mem ~base:rsi ~disp:(-64) (); Operand.reg (Reg.xmm 2) ];
+         i Insn.MOVSS [ Operand.mem ~base:rsi ~disp:4096 (); Operand.reg (Reg.xmm 3) ];
+         i Insn.ADD [ Operand.imm 128; Operand.reg rsi ];
+       ])
+
 let test_equiv_fuel_and_faults () =
   (* Fuel exhaustion must trip at the same instruction. *)
   let forever = [ Insn.Label "L"; i Insn.JMP [ Operand.label "L" ] ] in
@@ -261,7 +293,7 @@ let prop_random_programs =
             0 -- 3 >|= fun b ->
             Insn.make op [ Operand.reg (Reg.xmm a); Operand.reg (Reg.xmm b) ] );
           (* Loads and stores off the array base (unaligned-tolerant). *)
-          ( oneofl [ 0; 4; 8; 60; 64; 4096 ] >>= fun disp ->
+          ( oneofl [ -64; 0; 4; 8; 60; 64; 4096 ] >>= fun disp ->
             0 -- 3 >>= fun x ->
             oneofl
               [
@@ -274,7 +306,7 @@ let prop_random_programs =
               ]
             >|= fun insn -> insn );
           (* Walk the base pointer. *)
-          ( oneofl [ 4; 8; 16; 64; 4160 ] >|= fun step ->
+          ( oneofl [ -4; 4; 8; 16; 64; 128; 4160 ] >|= fun step ->
             Insn.make Insn.ADD [ Operand.imm step; Operand.reg rsi ] );
         ])
   in
@@ -335,6 +367,25 @@ let compile_exn program =
   match Core.compile program with
   | Ok c -> c
   | Error e -> Alcotest.fail (Core.error_to_string e)
+
+(* Four streams in one L1 set: most accesses are memo hits on a
+   non-MRU way, finished inline without boxing a ready time.  What
+   remains is the new-line accesses' trip through [Memory]. *)
+let test_memo_hits_barely_allocate () =
+  let compiled = compile_exn (loads_apart ~n:4 ~apart:4096) in
+  let memory = Memory.create cfg in
+  let words_for trips =
+    let init = [ (rdi, trips); (rsi, 1 lsl 22) ] in
+    ignore (Core.run ~init cfg memory compiled);
+    let before = Gc.minor_words () in
+    ignore (Core.run ~init cfg memory compiled);
+    Gc.minor_words () -. before
+  in
+  let small = words_for 100 in
+  let large = words_for 5_000 in
+  let per_trip = (large -. small) /. float_of_int (5_000 - 100) in
+  if per_trip > 3. then
+    Alcotest.failf "the 4-load loop allocates %.2f minor words per iteration" per_trip
 
 (* The port-booking rings are arrays far over 256 words, so they would
    go straight to the major heap where the minor-word test above cannot
@@ -498,43 +549,74 @@ let gen_burst =
     0 -- 12 >|= fun gap ->
     { base = ((region + 1) lsl 20) + offset; stride; count; bytes; write; nt; gap })
 
-(* What each access of [bursts] observed, from cycle 0, and the final
-   counters. *)
-let replay m bursts =
+(* What each access of [bursts] observed (ready time, serving level,
+   split flag), from cycle 0, and the final counters. *)
+let replay_with ~access ~last ~counters bursts =
   let now = ref 0. in
   let seen = ref [] in
   List.iter
     (fun b ->
       for k = 0 to b.count - 1 do
         let ready =
-          Memory.access ~nt:b.nt m ~now:!now ~addr:(b.base + (k * b.stride))
-            ~bytes:b.bytes ~write:b.write
+          access ~nt:b.nt ~now:!now ~addr:(b.base + (k * b.stride)) ~bytes:b.bytes
+            ~write:b.write
         in
-        seen :=
-          (ready, Memory.level_of_last_access m, Memory.last_access_was_split m)
-          :: !seen;
+        seen := (ready, last ()) :: !seen;
         now := !now +. float_of_int b.gap
       done)
     bursts;
-  (List.rev !seen, Memory.counters m)
+  (List.rev !seen, counters ())
+
+let replay m bursts =
+  replay_with bursts
+    ~access:(fun ~nt -> Memory.access ~nt m)
+    ~last:(fun () -> (Memory.level_of_last_access m, Memory.last_access_was_split m))
+    ~counters:(fun () -> Memory.counters_to_alist (Memory.counters m))
+
+(* The same through the earlier pipeline in test/memory_reference.ml. *)
+let replay_reference m bursts =
+  let module R = Memory_reference in
+  let level = function
+    | R.L1 -> Memory.L1
+    | R.L2 -> Memory.L2
+    | R.L3 -> Memory.L3
+    | R.Ram -> Memory.Ram
+  in
+  replay_with bursts
+    ~access:(fun ~nt -> R.access ~nt m)
+    ~last:(fun () -> (level (R.level_of_last_access m), R.last_access_was_split m))
+    ~counters:(fun () -> R.counters_to_alist (R.counters m))
+
+let gen_machine =
+  QCheck.Gen.(
+    oneofl [ 1; 4 ] >>= fun sharers ->
+    bool >>= fun prefetcher ->
+    bool >|= fun tlb ->
+    ( sharers,
+      { cfg with Config.features = { cfg.Config.features with Config.prefetcher; tlb } } ))
+
+(* Both engines share [Memory], so the engine suites cannot see a
+   change to it; the reference copy can.  Its memo branch serves the
+   repeats the current [Memory] sends through the stream scans. *)
+let prop_memory_matches_reference =
+  let open QCheck in
+  let gen = Gen.(pair gen_machine (list_size (1 -- 12) gen_burst)) in
+  Test.make ~count:300 ~name:"memory: accesses match the reference pipeline"
+    (make gen) (fun ((sharers, machine), bursts) ->
+      replay (Memory.create ~ram_sharers:sharers machine) bursts
+      = replay_reference (Memory_reference.create ~ram_sharers:sharers machine) bursts)
 
 let prop_reset_is_fresh =
   let open QCheck in
   let gen =
     Gen.(
-      oneofl [ 1; 4 ] >>= fun sharers ->
-      bool >>= fun prefetcher ->
-      bool >>= fun tlb ->
+      gen_machine >>= fun machine ->
       list_size (0 -- 6) gen_burst >>= fun history ->
-      list_size (1 -- 6) gen_burst >|= fun stream ->
-      (sharers, prefetcher, tlb, history, stream))
+      list_size (1 -- 6) gen_burst >|= fun stream -> (machine, history, stream))
   in
   Test.make ~count:100
     ~name:"memory: reset then a stream = the stream on a fresh pipeline"
-    (make gen) (fun (sharers, prefetcher, tlb, history, stream) ->
-      let machine =
-        { cfg with Config.features = { cfg.Config.features with Config.prefetcher; tlb } }
-      in
+    (make gen) (fun ((sharers, machine), history, stream) ->
       let m = Memory.create ~ram_sharers:sharers machine in
       ignore (replay m history);
       Memory.reset m;
@@ -576,6 +658,7 @@ let tests =
     Alcotest.test_case "equiv: line splits" `Quick test_equiv_split_accesses;
     Alcotest.test_case "equiv: prefetch and nt" `Quick test_equiv_prefetch_and_nt;
     Alcotest.test_case "equiv: alias sharers" `Quick test_equiv_alias_sharers;
+    Alcotest.test_case "equiv: memo-hit branches" `Quick test_equiv_memo_hits;
     Alcotest.test_case "equiv: fuel and faults" `Quick test_equiv_fuel_and_faults;
     Alcotest.test_case "equiv: degenerate programs" `Quick
       test_equiv_empty_and_straightline;
@@ -583,6 +666,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_random_programs;
     Alcotest.test_case "zero minor words per instruction" `Quick
       test_zero_alloc_off_path;
+    Alcotest.test_case "memo hits allocate at most 3 words per iteration" `Quick
+      test_memo_hits_barely_allocate;
     Alcotest.test_case "zero major words per call" `Quick
       test_zero_major_words_per_call;
     Alcotest.test_case "nested call keeps its rings" `Quick
@@ -596,6 +681,7 @@ let tests =
     Alcotest.test_case "drain clears split flag" `Quick
       test_drain_clears_split_flag;
     QCheck_alcotest.to_alcotest prop_reset_is_fresh;
+    QCheck_alcotest.to_alcotest prop_memory_matches_reference;
     Alcotest.test_case "spare pipeline only for its own machine" `Quick
       test_spare_pipeline;
     Alcotest.test_case "an unclaimed spare is collected" `Quick

@@ -36,6 +36,18 @@ let test_json_round_trip () =
   | Ok parsed -> check_bool "indented round-trips" true (parsed = doc)
   | Error msg -> Alcotest.fail msg
 
+(* Infinities print as JSON numbers that overflow back to them, not as
+   the [inf] no parser reads. *)
+let test_json_infinity_round_trip () =
+  let doc = Json.List [ Json.Num infinity; Json.Obj [ ("x", Json.Num neg_infinity) ] ] in
+  check_str "bytes" "[1e999,{\"x\":-1e999}]" (Json.to_string doc);
+  List.iter
+    (fun indent ->
+      match Json.of_string (Json.to_string ~indent doc) with
+      | Ok parsed -> check_bool "reads back as infinities" true (parsed = doc)
+      | Error msg -> Alcotest.fail msg)
+    [ false; true ]
+
 let test_json_parse_errors () =
   let bad s =
     match Json.of_string s with
@@ -59,14 +71,16 @@ let test_json_unicode_escape () =
 (* The printer against its Printf-based reference: the same bytes,
    compact and indented, on documents full of the awkward cases —
    signed zeros, integers either side of 1e15, arbitrary bit patterns
-   (NaN and infinities among them), control bytes, quotes, backslashes
-   and bytes from 0x80 up. *)
+   (NaN among them), control bytes, quotes, backslashes and bytes from
+   0x80 up.  Infinities are left out: the reference printed them as
+   [inf], and their bytes are pinned by the infinity round-trip test
+   instead. *)
 let gen_json =
   let open QCheck.Gen in
   let num =
     oneof
       [
-        oneofl [ 0.; -0.; nan; infinity; neg_infinity; 1e15; -1e15; 0.1; 1e-300 ];
+        oneofl [ 0.; -0.; nan; 1e15; -1e15; 0.1; 1e-300 ];
         map (fun k -> 1e15 +. float_of_int k) (-2000 -- 2000);
         map (fun k -> -1e15 +. float_of_int k) (-2000 -- 2000);
         map float_of_int int;
@@ -683,6 +697,8 @@ let test_lanes_do_not_change_measurement () =
 let tests =
   [
     Alcotest.test_case "json round-trips" `Quick test_json_round_trip;
+    Alcotest.test_case "json infinities round-trip" `Quick
+      test_json_infinity_round_trip;
     Alcotest.test_case "json rejects malformed input" `Quick
       test_json_parse_errors;
     Alcotest.test_case "json decodes unicode escapes" `Quick
