@@ -93,11 +93,12 @@ let run_experiments ~quick ~config ids =
    optimizes: a dependent-load ring, a triad instruction pattern, and a
    pure scoreboard ALU mix.  The memory kernels run over L1-resident
    working sets (a one-line pointer ring, one-line vectors at
-   set-distinct offsets) so the lane isolates interpreter overhead —
-   the memory *model*'s cost is shared by both engines and would only
-   dilute the ratio.  Each row times a full [Core.run] against
-   [Core.run_reference] on the same compiled program, so the ratio is
-   exactly the fast-path win. *)
+   set-distinct offsets) so the lane isolates interpreter overhead.
+   The memory model is not free to the reference: it never reads the
+   memo, so it pays the stream-table scans the fast path skips, and
+   the memory kernels read a lower ratio than the ALU mix.  Each row
+   times a full [Core.run] against [Core.run_reference] on the same
+   compiled program, so the ratio is exactly the fast-path win. *)
 
 let simspeed_kernels =
   let module I = Mt_isa.Insn in

@@ -6,8 +6,8 @@
      mt_report --history runs/                 # classify the archive
      mt_report --history runs/ current.json    # gate vs windowed baseline
 
-   A run under a study plan (mt_optimize) measures every variant, so it
-   gates like any other run.
+   A run trimmed with --experiments 2 --adaptive-experiments still
+   measures every variant, so it gates like any other run.
 
    Two-file mode diffs exactly two snapshots.  With --history the
    baseline side comes from a snapshot archive (written by

@@ -161,9 +161,6 @@ let run input machine machine_file array_kb per repetitions experiments top
       Printf.printf "generated %d variants; measuring on %s (%s)...\n"
         (List.length variants) cfg.Mt_machine.Config.name
         (Mt_cli.run_summary config);
-      Option.iter
-        (fun plan -> print_endline (Mt_optimize.Plan.summary plan))
-        config.Microtools.Study.Run_config.plan;
       print_newline ();
       match Microtools.Study.run ~config study with
       | exception Failure msg ->

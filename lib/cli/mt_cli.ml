@@ -55,32 +55,6 @@ let no_cache_arg =
     & info [ "no-cache" ] ~docs:docs_run
         ~doc:"Disable the result cache; re-simulate everything.")
 
-let adaptive_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "adaptive-experiments" ] ~docs:docs_run
-        ~doc:
-          "Treat each configured experiment count as a minimum and keep \
-           measuring until the median's bootstrap confidence interval \
-           reaches $(b,--rciw-target) or $(b,--max-experiments) is spent.")
-
-let rciw_target_arg =
-  Arg.(
-    value
-    & opt float 0.02
-    & info [ "rciw-target" ] ~docv:"FRAC" ~docs:docs_run
-        ~doc:
-          "Adaptive stop rule: relative confidence-interval width of the \
-           median to reach before stopping early.")
-
-let max_exps_arg =
-  Arg.(
-    value
-    & opt int 64
-    & info [ "max-experiments" ] ~docv:"N" ~docs:docs_run
-        ~doc:"Adaptive budget ceiling per measurement.")
-
 (* A budget no run can meet is a usage error (exit 124): zero or less
    would quarantine every unit of work, and NaN would switch the check
    off. *)
@@ -94,12 +68,40 @@ let budget_conv conv ~ok =
   in
   Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
+let positive_finite s = Float.is_finite s && s > 0.
+
+let adaptive_arg =
+  Arg.(
+    value
+    & flag
+    & info [ "adaptive-experiments" ] ~docs:docs_run
+        ~doc:
+          "Treat each configured experiment count as a minimum and keep \
+           measuring until the median's bootstrap confidence interval \
+           reaches $(b,--rciw-target) or $(b,--max-experiments) is spent.")
+
+(* Refused like a budget: zero or less would fail every variant's
+   options at run time, and NaN would switch the stop rule off. *)
+let rciw_target_arg =
+  Arg.(
+    value
+    & opt (budget_conv float ~ok:positive_finite) 0.02
+    & info [ "rciw-target" ] ~docv:"FRAC" ~docs:docs_run
+        ~doc:
+          "Adaptive stop rule: relative confidence-interval width of the \
+           median to reach before stopping early.")
+
+let max_exps_arg =
+  Arg.(
+    value
+    & opt int 64
+    & info [ "max-experiments" ] ~docv:"N" ~docs:docs_run
+        ~doc:"Adaptive budget ceiling per measurement.")
+
 let timeout_arg =
   Arg.(
     value
-    & opt
-        (some (budget_conv float ~ok:(fun s -> Float.is_finite s && s > 0.)))
-        None
+    & opt (some (budget_conv float ~ok:positive_finite)) None
     & info [ "timeout" ] ~docv:"SECONDS" ~docs:docs_resilience
         ~doc:
           "Wall-clock budget per unit of work; a unit that runs longer is \
@@ -238,30 +240,6 @@ let trace_detail_arg =
            instruction), or full.  Takes effect when $(b,--trace-out) is \
            given.")
 
-(* Loading happens inside the conv so a bad --plan is a cmdliner usage
-   error before anything runs, in every binary, with one definition. *)
-let plan_conv =
-  let parse path =
-    match Mt_optimize.Plan.load path with
-    | Ok plan -> Ok plan
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf (plan : Mt_optimize.Plan.t) =
-    Format.pp_print_string ppf (Mt_optimize.Plan.summary plan)
-  in
-  Arg.conv ~docv:"FILE" (parse, print)
-
-let plan_arg =
-  Arg.(
-    value
-    & opt (some plan_conv) None
-    & info [ "plan" ] ~docv:"FILE" ~docs:docs_run
-        ~doc:
-          "Set per-variant experiment budgets from a study plan written \
-           by $(b,mt_optimize): variants the optimizer judged stable run \
-           at the plan's floored experiment count, every other variant \
-           at the default budget.  Every variant is still measured.")
-
 (* Not part of {!term}: client-mode routing, composed only by binaries
    that can submit to an mt_serve daemon (currently mt_study). *)
 let submit_arg =
@@ -284,7 +262,7 @@ let submit_arg =
 let build jobs cache_dir cache_max_mb no_cache adaptive rciw_target
     max_experiments timeout sim_budget faults journal resume trace_out
     metrics_out snapshot_out history_append trace_detail profile
-    profile_folded plan =
+    profile_folded =
   let cache =
     if no_cache then None
     else
@@ -302,7 +280,7 @@ let build jobs cache_dir cache_max_mb no_cache adaptive rciw_target
     ?resume_from:resume ?trace_out ?metrics_out ?snapshot_out ?history_append
     ~trace_detail
     ~profile:(profile || profile_folded <> None)
-    ?profile_folded ?plan ()
+    ?profile_folded ()
 
 let term =
   Term.(
@@ -311,8 +289,7 @@ let term =
     $ rciw_target_arg $ max_exps_arg $ timeout_arg $ sim_budget_arg
     $ faults_arg
     $ journal_arg $ resume_arg $ trace_arg $ metrics_arg $ snapshot_arg
-    $ history_arg $ trace_detail_arg $ profile_arg $ profile_folded_arg
-    $ plan_arg)
+    $ history_arg $ trace_detail_arg $ profile_arg $ profile_folded_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Shared runtime plumbing                                             *)

@@ -4,13 +4,12 @@
     One Cmdliner {!term} parses every flag that shapes $(i,how) a run
     executes — [--jobs], [--cache-dir]/[--cache-max-mb]/[--no-cache],
     the adaptive measurement knobs, the run budgets ([--timeout],
-    [--sim-budget]; a budget that is not positive and finite is a
-    usage error), fault injection ([--inject-fault]),
+    [--sim-budget]; a budget or [--rciw-target] that is not positive
+    and finite is a usage error), fault injection ([--inject-fault]),
     checkpoint/resume ([--journal], [--resume]) and the observability
     outputs ([--trace-out], [--metrics-out], [--snapshot-out],
     [--history-append], [--trace-detail], [--profile],
-    [--profile-folded]) plus the study plan ([--plan]) — into one
-    {!Microtools.Study.Run_config.t}.
+    [--profile-folded]) — into one {!Microtools.Study.Run_config.t}.
     Binaries compose it with their kernel-specific arguments and must
     not re-declare any of these flags themselves. *)
 

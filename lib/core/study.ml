@@ -55,7 +55,6 @@ module Run_config = struct
     trace_detail : Mt_telemetry.detail;
     profile : bool;
     profile_folded : string option;
-    plan : Mt_optimize.Plan.t option;
   }
 
   let default =
@@ -76,14 +75,13 @@ module Run_config = struct
       trace_detail = Mt_telemetry.Off;
       profile = false;
       profile_folded = None;
-      plan = None;
     }
 
   let make ?(domains = default.domains) ?cache ?seed ?adaptive ?wall_budget_s
       ?sim_budget ?(faults = []) ?journal_out ?resume_from
       ?trace_out ?metrics_out ?snapshot_out ?history_append
       ?(trace_detail = default.trace_detail) ?(profile = default.profile)
-      ?profile_folded ?plan () =
+      ?profile_folded () =
     {
       domains;
       cache;
@@ -101,7 +99,6 @@ module Run_config = struct
       trace_detail;
       profile;
       profile_folded;
-      plan;
     }
 
   let effective_domains t =
@@ -133,18 +130,6 @@ module Run_config = struct
     | None -> opts
     | Some fuel ->
       { opts with Options.max_instructions = min fuel opts.Options.max_instructions }
-
-  (* The plan's per-variant floor: an exact experiment count for a
-     variant the optimizer judged stable.  Under the adaptive
-     controller this is the starting (minimum) count — the controller
-     can still grow a series that turns noisy.  A count below 1 is not
-     clamped: [Options.validate] rejects it like any other. *)
-  let plan_options t ~variant_id (opts : Options.t) =
-    match Option.bind t.plan (fun p ->
-              Mt_optimize.Plan.experiments_override p variant_id)
-    with
-    | None -> opts
-    | Some n -> { opts with Options.experiments = n }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -237,16 +222,9 @@ let run_variant ~(config : Run_config.t) ~options ~run_fp ~journal ~resumed
     ~index ~fingerprint variant =
   let tel = Mt_telemetry.global () in
   let id = Variant.id variant in
-  let planned = Run_config.plan_options config ~variant_id:id options in
   (* The variant's one digest: journal lookup and record, the
-     corrupt-cache fault and the cache lookup all use it.
-     [plan_options] hands [options] itself back unless the plan floors
-     this variant. *)
-  let key =
-    key_of ~variant:fingerprint
-      (if planned == options then run_fp else run_fingerprint planned)
-  in
-  let options = planned in
+     corrupt-cache fault and the cache lookup all use it. *)
+  let key = key_of ~variant:fingerprint run_fp in
   match Mt_resilience.Journal.find resumed ~key with
   | Some entry when decode_payload entry.Mt_resilience.Journal.data <> None ->
     let result, quarantined =

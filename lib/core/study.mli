@@ -59,10 +59,6 @@ module Run_config : sig
     profile_folded : string option;
         (** write a folded-stack flamegraph of the attribution here
             (binaries; implies [profile]) *)
-    plan : Mt_optimize.Plan.t option;
-        (** study plan from [mt_optimize]: floors planned experiment
-            counts — the canonical per-variant budget path.  Every
-            variant still runs. *)
   }
 
   val default : t
@@ -86,7 +82,6 @@ module Run_config : sig
     ?trace_detail:Mt_telemetry.detail ->
     ?profile:bool ->
     ?profile_folded:string ->
-    ?plan:Mt_optimize.Plan.t ->
     unit ->
     t
 
@@ -101,14 +96,6 @@ module Run_config : sig
       [max_instructions].  {!run}
       applies this itself; exposed for callers that build options
       elsewhere (e.g. [microlauncher]). *)
-
-  val plan_options :
-    t -> variant_id:string -> Mt_launcher.Options.t -> Mt_launcher.Options.t
-  (** The plan's per-variant experiment floor applied to already
-      {!apply_options}-shaped options; the options themselves
-      (physically) without a plan or for unfloored variants.  Under the
-      adaptive controller the floor is the starting (minimum) count.
-      {!run} applies this itself. *)
 end
 
 (** Execution history the supervisor attaches to each variant. *)
@@ -149,10 +136,9 @@ val run : ?config:Run_config.t -> t -> outcome list
     Each variant's {!cache_key} is computed once per run and serves
     the journal, the corrupt-cache fault and the cache lookup.  The
     study keeps each variant's fingerprint from its first run on, and
-    a run marshals its options and machine once (again only for a
-    variant the plan floors), so a key costs one digest.  A study that
-    has run once is only read by later runs, so threads may share it
-    ([mt_serve] keeps studies for resubmissions).
+    a run marshals its options and machine once, so a key costs one
+    digest.  A study that has run once is only read by later runs, so
+    threads may share it ([mt_serve] keeps studies for resubmissions).
 
     Checkpointing: with [config.journal_out], every completed variant
     (including quarantined ones) is appended to a crash-safe journal
@@ -161,11 +147,6 @@ val run : ?config:Run_config.t -> t -> outcome list
     rest are measured.  Resumed and fresh runs produce byte-identical
     {!csv} output.
     @raise Failure when [config.resume_from] cannot be read.
-
-    Planning: with [config.plan], floored variants use the plan's
-    experiment count (see {!Run_config.plan_options}); every other
-    variant, including one the plan does not list, runs at the default
-    budget.
 
     When the global {!Mt_telemetry} handle is enabled, the run is a
     [study.run] span containing [study.variant] and

@@ -185,8 +185,9 @@ let validate t =
     else Ok ()
   in
   let* () =
-    if t.adaptive_experiments && t.rciw_target <= 0. then
-      err "rciw_target must be positive in adaptive mode"
+    if t.adaptive_experiments
+       && not (Float.is_finite t.rciw_target && t.rciw_target > 0.)
+    then err "rciw_target must be positive and finite in adaptive mode"
     else Ok ()
   in
   let* () = if t.cores < 1 then err "cores must be >= 1" else Ok () in

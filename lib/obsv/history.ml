@@ -306,53 +306,6 @@ let series ?entries t ~variant =
              snap.Snapshot.variants))
     entries
 
-type lineage = {
-  l_kernel_name : string;
-  l_kernel_hash : string;
-  l_machine_name : string;
-  l_machine_hash : string;
-  l_entries : entry list;
-}
-
-(* The archive's comparable sub-histories, grouped by (kernel hash,
-   machine hash) in order of first appearance — the read-side accessor
-   mt_report and mt_optimize share instead of re-filtering manifest
-   entries themselves. *)
-let lineages t =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let k = (e.kernel_hash, e.machine_hash) in
-      match Hashtbl.find_opt tbl k with
-      | Some es -> Hashtbl.replace tbl k (e :: es)
-      | None ->
-        Hashtbl.replace tbl k [ e ];
-        order := (k, e) :: !order)
-    t.entries;
-  List.rev_map
-    (fun ((k, first) : (string * string) * entry) ->
-      {
-        l_kernel_name = first.kernel_name;
-        l_kernel_hash = first.kernel_hash;
-        l_machine_name = first.machine_name;
-        l_machine_hash = first.machine_hash;
-        l_entries = List.rev (Hashtbl.find tbl k);
-      })
-    !order
-
-(* The lineage a fresh run of "whatever was archived last" belongs to —
-   what mt_report --history anchors its timeline on. *)
-let latest_lineage t =
-  match latest t with
-  | None -> None
-  | Some newest ->
-    List.find_opt
-      (fun l ->
-        l.l_kernel_hash = newest.kernel_hash
-        && l.l_machine_hash = newest.machine_hash)
-      (lineages t)
-
 (* The run-to-run noise the trend band is gated by: pooled CoV over
    every archived run's own (count, median, stddev) — within-run
    variability, which a genuine cross-run step does not inflate. *)

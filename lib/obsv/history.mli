@@ -73,42 +73,12 @@ val series : ?entries:entry list -> t -> variant:string -> (entry * Snapshot.var
     snapshot contains [variant], oldest first.  Runs missing the
     variant (or with unreadable documents) simply drop out. *)
 
-(** {1 Lineages}
-
-    A shared archive interleaves runs of different kernels and
-    machines; a {e lineage} is the comparable sub-history of one
-    (kernel hash, machine hash) pair.  [mt_report --history] and
-    [mt_optimize] both read the archive through this accessor instead
-    of re-filtering manifest entries themselves. *)
-
-type lineage = {
-  l_kernel_name : string;
-  l_kernel_hash : string;
-  l_machine_name : string;
-  l_machine_hash : string;
-  l_entries : entry list;  (** ascending [seq] order *)
-}
-
-val lineages : t -> lineage list
-(** The archive partitioned into lineages, in order of each lineage's
-    first appearance.  Names are taken from the lineage's oldest entry
-    (hashes, not names, define identity). *)
-
-val latest_lineage : t -> lineage option
-(** The lineage the newest archived run belongs to — what a fresh run
-    of "whatever was measured last" compares against.  [None] only for
-    an empty archive. *)
-
-val pooled_noise : (entry * Snapshot.variant_stat) list -> float
-(** Pooled within-run coefficient of variation across the series —
-    the measurement-noise scale cross-run shifts are judged against
-    (same pooling as the two-run diff gate). *)
-
 val trend :
   ?threshold:float -> ?min_band:float ->
   (entry * Snapshot.variant_stat) list -> Mt_stats.Trend.result
 (** Classify a variant's median series with {!Mt_stats.Trend.analyze},
-    gated by the larger of {!pooled_noise} and the series' own
+    gated by the larger of the series' pooled within-run coefficient
+    of variation (the pooling of the two-run diff gate) and its own
     successive-difference estimate (so deterministic, zero-stddev
     archives still get a non-degenerate band). *)
 

@@ -109,8 +109,8 @@ val make :
 val content_hash : string list -> string
 (** The digest behind [kernel_hash] and [machine_hash]
     ({!Mt_stats.digest_parts} under a constant salt).  History lineages
-    and plans are keyed by these hashes, so unlike the result cache's
-    keys they never follow a cache-format bump. *)
+    are keyed by these hashes, so unlike the result cache's keys they
+    never follow a cache-format bump. *)
 
 val to_json : t -> Json.t
 

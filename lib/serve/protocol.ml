@@ -22,7 +22,6 @@ type run_options = {
   sim_budget : int option;
   faults : Mt_resilience.Fault.t list;
   profile : bool;
-  plan : Mt_optimize.Plan.t option;
 }
 
 type submission = {
@@ -89,7 +88,6 @@ let default_run_options =
     sim_budget = None;
     faults = [];
     profile = false;
-    plan = None;
   }
 
 module Run_config = Microtools.Study.Run_config
@@ -102,7 +100,6 @@ let run_options_of_config (c : Run_config.t) =
     sim_budget = c.Run_config.sim_budget;
     faults = c.Run_config.faults;
     profile = c.Run_config.profile;
-    plan = c.Run_config.plan;
   }
 
 (* Overlay the wire options onto the daemon's base config.  The base
@@ -117,9 +114,6 @@ let config_into_base run (base : Run_config.t) =
     sim_budget = run.sim_budget;
     faults = run.faults;
     profile = run.profile;
-    (* A submitted plan wins; a plan-less submission keeps whatever plan
-       the daemon itself was started with. *)
-    plan = (match run.plan with None -> base.Run_config.plan | Some _ -> run.plan);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -154,10 +148,6 @@ let run_options_to_json r =
           (List.map (fun f -> J.Str (Mt_resilience.Fault.to_spec f)) r.faults)
       );
       ("profile", J.Bool r.profile);
-      ( "plan",
-        match r.plan with
-        | None -> J.Null
-        | Some p -> Mt_optimize.Plan.to_json p );
     ]
 
 let submission_to_json s =
@@ -346,7 +336,8 @@ let run_options_of_json doc =
     | Some a ->
       let* target = float_field "rciw_target" a in
       let* budget = int_field "max_experiments" a in
-      Ok (Some (target, budget))
+      if Float.is_finite target && target > 0. then Ok (Some (target, budget))
+      else Error "field \"rciw_target\": not positive and finite"
   in
   (* Older clients also send their retry settings; like any unknown
      member they are ignored.  A budget no run can meet is refused
@@ -384,26 +375,18 @@ let run_options_of_json doc =
     | Some b -> b
     | None -> false
   in
-  (* Same posture for pre-plan clients: no plan travels, the daemon's
-     base config (which may carry its own --plan) stays in force. *)
-  let* plan =
+  (* Older clients send "plan": null, which means no plan.  A plan
+     itself is refused rather than ignored: its experiment budgets
+     would be dropped without the client knowing. *)
+  let* () =
     match J.member "plan" doc with
-    | None | Some J.Null -> Ok None
-    | Some p -> (
-      match Mt_optimize.Plan.of_json p with
-      | Ok plan -> Ok (Some plan)
-      | Error msg -> Error (Printf.sprintf "field \"plan\": %s" msg))
+    | None | Some J.Null -> Ok ()
+    | Some _ ->
+      Error
+        "field \"plan\": study plans are no longer supported; use \
+         --experiments N --adaptive-experiments"
   in
-  Ok
-    {
-      seed;
-      adaptive;
-      wall_budget_s;
-      sim_budget;
-      faults;
-      profile;
-      plan;
-    }
+  Ok { seed; adaptive; wall_budget_s; sim_budget; faults; profile }
 
 let submission_of_json doc =
   let* kernel_xml = str "kernel_xml" doc in
@@ -558,8 +541,9 @@ let send_request oc r = write_line oc (request_to_json r)
 
 let send_response oc r = write_line oc (response_to_json r)
 
-(* The largest request this repository's clients send is a loadstore
-   submission carrying a plan for its 510 variants: 77,252 bytes. *)
+(* The largest request this repository's clients send is mt_study
+   --submit of multiarray8 with its machine inline (--machine-file):
+   4,751 bytes. *)
 let max_request_bytes = 4 * 1024 * 1024
 
 (* One request line, read in chunks: a connection carries one request,

@@ -22,7 +22,9 @@ type machine =
 
 type run_options = {
   seed : int option;
-  adaptive : (float * int) option;  (** (rciw_target, max_experiments) *)
+  adaptive : (float * int) option;
+      (** (rciw_target, max_experiments); the decoder refuses a target
+          that is not positive and finite *)
   wall_budget_s : float option;
       (** positive and finite; the decoder refuses any other value *)
   sim_budget : int option;  (** positive; the decoder refuses any other *)
@@ -32,13 +34,11 @@ type run_options = {
           calls; the streamed snapshot then carries per-variant profile
           vectors.  Absent on the wire means off, so pre-profile
           clients keep working. *)
-  plan : Mt_optimize.Plan.t option;
-      (** study plan setting the daemon-side run's experiment budgets
-          ([mt_study --submit --plan] embeds the whole plan document in
-          the submission).
-          Absent on the wire means none, and the daemon's own [--plan]
-          base stays in force — pre-plan clients keep working. *)
 }
+(** Older clients also send a ["plan"] member.  [null] means no plan;
+    any other value is refused, naming
+    [--experiments N --adaptive-experiments], since a plan ignored in
+    silence would change the client's results without telling it. *)
 
 type submission = {
   kernel_xml : string;
@@ -106,8 +106,7 @@ val prometheus_of_metrics : metrics -> string
     underscores ([serve.jobs.completed] → [serve_jobs_completed]). *)
 
 val default_run_options : run_options
-(** No seed, no adaptive stopping, no budgets, no faults, no profile,
-    no plan. *)
+(** No seed, no adaptive stopping, no budgets, no faults, no profile. *)
 
 val run_options_of_config : Microtools.Study.Run_config.t -> run_options
 (** Project the serializable slice out of a full run config — how
@@ -118,9 +117,8 @@ val config_into_base :
   run_options -> Microtools.Study.Run_config.t -> Microtools.Study.Run_config.t
 (** [config_into_base run base] overlays the wire options onto the
     daemon's base config, keeping [base]'s domains, cache and output
-    routing.  A submitted plan replaces the base's; a plan-less
-    submission keeps the daemon's own.  Right inverse of
-    {!run_options_of_config} on the serializable fields. *)
+    routing.  Right inverse of {!run_options_of_config} on the
+    serializable fields. *)
 
 (** {1 JSON codecs} *)
 

@@ -394,8 +394,8 @@ module Json = struct
   (* Printing                                                            *)
   (* ------------------------------------------------------------------ *)
 
-  (* The printed bytes are a contract: snapshots, plans, journals and
-     history manifests are committed, digested and diffed.  So this
+  (* The printed bytes are a contract: snapshots, journals and history
+     manifests are committed, digested and diffed.  So this
      printer writes exactly what the Printf-based one before it did
      (test/json_reference.ml keeps that one, and QCheck compares the
      two), only without allocating per string or per level: it escapes

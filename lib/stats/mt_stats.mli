@@ -184,7 +184,7 @@ end
 (** {1 JSON} *)
 
 (** A minimal JSON tree, printer and parser — the one codec behind
-    snapshots, reports, plans, the serve wire format and Chrome traces,
+    snapshots, reports, journals, the serve wire format and Chrome traces,
     with no external dependency.
     Numbers are floats (like JSON itself); {!to_string} prints them in
     the shortest form that parses back to the same value, so documents
@@ -201,8 +201,8 @@ module Json : sig
   val to_string : ?indent:bool -> t -> string
   (** Render; [indent] pretty-prints with two-space indentation (and a
       trailing newline) for committed snapshot files.  The bytes are
-      part of the format: committed snapshots, plans, journals and
-      history manifests stay byte-identical across releases.  An
+      part of the format: committed snapshots, journals and history
+      manifests stay byte-identical across releases.  An
       integral number below 1e15 in magnitude prints as [%.0f] would
       (["-0"] for [-0.]); any other finite one prints [%.15g] when
       that reads back as the same float, else [%.17g].  NaN renders as

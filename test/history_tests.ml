@@ -155,35 +155,6 @@ let test_history_matching_lineage () =
   check_int "unfiltered keeps everything" 3
     (List.length (History.matching hist))
 
-let test_history_lineages () =
-  let dir = temp_dir "mthist" in
-  ignore (append_ok dir (snap 2.0));
-  ignore (append_ok dir (snap ~machine:("server", "mh-2") 5.0));
-  ignore (append_ok dir (snap 2.1));
-  ignore (append_ok dir (snap ~kernel:("triad", "kh-2") 7.0));
-  let hist = load_ok dir in
-  let lineages = History.lineages hist in
-  check_int "three distinct (kernel, machine) lineages" 3
-    (List.length lineages);
-  (match lineages with
-  | first :: _ ->
-    (* First-appearance order: the laptop copy lineage leads. *)
-    check_string "first lineage kernel" "copy" first.History.l_kernel_name;
-    check_string "first lineage machine hash" "mh-1" first.History.l_machine_hash;
-    check_int "lineage collects both its runs" 2
-      (List.length first.History.l_entries);
-    check_bool "lineage entries are oldest first" true
-      (match first.History.l_entries with
-      | [ a; b ] -> a.History.seq < b.History.seq
-      | _ -> false)
-  | [] -> Alcotest.fail "lineages on a non-empty archive");
-  match History.latest_lineage hist with
-  | None -> Alcotest.fail "latest_lineage on a non-empty archive"
-  | Some l ->
-    check_string "latest lineage follows the newest run" "kh-2"
-      l.History.l_kernel_hash;
-    check_int "latest lineage has its one run" 1 (List.length l.History.l_entries)
-
 (* A two-run archive whose manifest the totality property rewrites. *)
 let fuzz_archive =
   lazy
@@ -330,7 +301,6 @@ let tests =
       test_history_round_trip;
     Alcotest.test_case "history: lineage filtering" `Quick
       test_history_matching_lineage;
-    Alcotest.test_case "history: lineages" `Quick test_history_lineages;
     Alcotest.test_case "history: torn manifest recovery" `Quick
       test_history_torn_manifest_recovery;
     QCheck_alcotest.to_alcotest prop_manifest_mutated;

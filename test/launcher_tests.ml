@@ -49,6 +49,10 @@ let test_option_validation () =
   bad { defaults with Options.alignments = [ 0; 8192 ] };
   bad { defaults with Options.frequency_ghz = Some 0. };
   bad { defaults with Options.drop_first_experiment = true; experiments = 1 };
+  List.iter
+    (fun rciw_target ->
+      bad { defaults with Options.adaptive_experiments = true; rciw_target })
+    [ Float.nan; Float.infinity; 0.; -1. ];
   check_bool "defaults valid" true (Result.is_ok (Options.validate defaults))
 
 let test_effective_machine () =

@@ -493,8 +493,8 @@ let test_study_snapshot_round_trip () =
     (Microtools.Study.successes outcomes)
     stats
 
-(* History lineages and plans are keyed by these hashes, so a
-   cache-format bump must not move them. *)
+(* History lineages are keyed by these hashes, so a cache-format bump
+   must not move them. *)
 let test_provenance_hashes_pinned () =
   let text =
     Profile_tests.read_file (Filename.concat Profile_tests.corpus_dir "movss_u8.xml")
@@ -694,6 +694,94 @@ let test_lanes_do_not_change_measurement () =
   Alcotest.(check (float 1e-9))
     "same median with and without lanes" plain.Report.value traced.Report.value
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot decoder totality                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Snapshot documents as mt_report and the history archive read them
+   from disk: generated ones, whose names, hashes, options and keys
+   take any byte, and the committed BENCH_study.json. *)
+let gen_snapshot_doc =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let num = float_range (-1e6) 1e6 in
+  let verdict =
+    oneof
+      [
+        return Mt_quality.Stable;
+        map (fun s -> Mt_quality.Noisy s) str;
+        map (fun s -> Mt_quality.Unstable s) str;
+      ]
+  in
+  let stat =
+    map
+      (fun ((key, median, stddev, count), (unit_label, verdict, profile)) ->
+        {
+          (Snapshot.point_stat ~key median) with
+          Snapshot.stddev;
+          count;
+          unit_label;
+          verdict;
+          profile;
+        })
+      (pair
+         (quad str num num (1 -- 64))
+         (triple str verdict (list_size (0 -- 3) (pair str num))))
+  in
+  let generated =
+    map
+      (fun ((tool, kernel, machine, options), (seed, variants, counters)) ->
+        Snapshot.to_string
+          (Snapshot.make ~tool ~created_at:0. ~kernel ~machine ~options ~seed
+             ~counters variants))
+      (pair
+         (quad str (pair str str) (pair str str)
+            (list_size (0 -- 3) (pair str str)))
+         (triple small_signed_int
+            (list_size (0 -- 4) stat)
+            (list_size (0 -- 3) (pair str nat))))
+  in
+  let committed =
+    lazy
+      (Profile_tests.read_file
+         (if Sys.file_exists "../BENCH_study.json" then "../BENCH_study.json"
+          else "BENCH_study.json"))
+  in
+  frequency [ (3, generated); (1, map (fun () -> Lazy.force committed) unit) ]
+
+let arbitrary_snapshot_doc = QCheck.make ~print:Fun.id gen_snapshot_doc
+
+let decodes s = Result.is_ok (Snapshot.of_string s)
+
+(* A snapshot document ends in "}\n", so every prefix that loses the
+   closing brace is malformed; the one that loses only the newline
+   still decodes. *)
+let prop_snapshot_truncated =
+  QCheck.Test.make ~count:300 ~name:"snapshot: truncated files are errors"
+    QCheck.(pair arbitrary_snapshot_doc (float_bound_exclusive 1.))
+    (fun (doc, frac) ->
+      let n = String.length doc in
+      let len = int_of_float (frac *. float_of_int (n - 1)) in
+      (not (decodes (String.sub doc 0 len))) && decodes (String.sub doc 0 (n - 1)))
+
+(* A control byte other than tab, LF or CR is invalid everywhere in
+   JSON, inside strings too; any other byte may still leave a valid
+   snapshot, but never makes the decoder raise. *)
+let prop_snapshot_mutated =
+  let control =
+    QCheck.Gen.(oneof [ 0 -- 8; 11 -- 12; 14 -- 31 ] |> map Char.chr)
+  in
+  QCheck.Test.make ~count:300
+    ~name:"snapshot: mutated files never raise"
+    QCheck.(
+      triple arbitrary_snapshot_doc (float_bound_exclusive 1.)
+        (make QCheck.Gen.(pair control char)))
+    (fun (doc, frac, (bad, any)) ->
+      let at = int_of_float (frac *. float_of_int (String.length doc)) in
+      let mutate c = String.mapi (fun i x -> if i = at then c else x) doc in
+      (not (decodes (mutate bad)))
+      && match Snapshot.of_string (mutate any) with Ok _ | Error _ -> true)
+
 let tests =
   [
     Alcotest.test_case "json round-trips" `Quick test_json_round_trip;
@@ -733,6 +821,8 @@ let tests =
       test_schema1_snapshot_loads_with_quality_defaults;
     Alcotest.test_case "snapshot verdicts round-trip" `Quick
       test_snapshot_verdict_round_trips;
+    QCheck_alcotest.to_alcotest prop_snapshot_truncated;
+    QCheck_alcotest.to_alcotest prop_snapshot_mutated;
     Alcotest.test_case "study snapshot round-trips and diffs empty" `Quick
       test_study_snapshot_round_trip;
     Alcotest.test_case "provenance hashes are pinned" `Quick

@@ -397,75 +397,6 @@ let test_study_quarantine_journals_and_resumes () =
     (List.length (Microtools.Study.quarantined resumed));
   Sys.remove journal
 
-(* A plan only sets experiment budgets.  The floored variant runs
-   exactly the plan's count, every other variant measures as it would
-   without a plan, and the floor is part of the cache key: through one
-   shared cache the floored variant misses and the rest hit. *)
-let test_plan_floors_experiments () =
-  let study = Microtools.Study.create small_spec quick_opts in
-  let cache = Mt_parallel.Cache.create () in
-  let full = Microtools.Study.run ~config:(config_with ~cache ()) study in
-  let id (o : Microtools.Study.outcome) =
-    Mt_creator.Variant.id o.Microtools.Study.variant
-  in
-  let floored = id (List.hd full) in
-  let plan =
-    {
-      Mt_optimize.Plan.schema = Mt_optimize.Plan.schema_version;
-      created_at = 0.;
-      history_dir = "";
-      runs = 0;
-      kernel_name = "test";
-      kernel_hash = "";
-      machine_name = "test";
-      machine_hash = "";
-      knobs = { Mt_optimize.Optimizer.default_knobs with min_experiments = 1 };
-      keep =
-        [
-          {
-            Mt_optimize.Plan.variant = floored;
-            experiments = Some 1;
-            stable = true;
-            cov = 0.;
-            rciw = 0.;
-            trend = "stationary";
-          };
-        ];
-    }
-  in
-  let planned ?cache () =
-    let config = config_with ?cache () in
-    Microtools.Study.run
-      ~config:{ config with Microtools.Study.Run_config.plan = Some plan }
-      study
-  in
-  let report (o : Microtools.Study.outcome) =
-    match o.Microtools.Study.result with
-    | Ok r -> r
-    | Error msg -> Alcotest.failf "%s failed: %s" (id o) msg
-  in
-  let fresh = planned () in
-  check_int "every variant still runs" (List.length full) (List.length fresh);
-  List.iter2
-    (fun f p ->
-      check_string "same variant order" (id f) (id p);
-      if id p = floored then
-        check_int "floored variant runs the plan's count" 1
-          (Array.length (report p).Report.experiments)
-      else
-        check_bool (id p ^ " measures as without a plan") true
-          (compare (report f) (report p) = 0))
-    full fresh;
-  let hits = Mt_parallel.Cache.hits cache
-  and misses = Mt_parallel.Cache.misses cache in
-  let cached = planned ~cache () in
-  check_int "only the floored variant misses" 1
-    (Mt_parallel.Cache.misses cache - misses);
-  check_int "every other variant hits" (List.length full - 1)
-    (Mt_parallel.Cache.hits cache - hits);
-  check_bool "cached planned run equals the fresh one" true
-    (List.for_all2 (fun a b -> compare (report a) (report b) = 0) fresh cached)
-
 (* Figure launches go through the stored run config like a study's, so
    a 10-instruction sim budget starves every launch of fig12. *)
 let test_experiments_honour_sim_budget () =
@@ -520,8 +451,6 @@ let tests =
       test_study_journal_resume_byte_identical;
     Alcotest.test_case "study: quarantine journals and resumes" `Quick
       test_study_quarantine_journals_and_resumes;
-    Alcotest.test_case "plan floors experiments" `Quick
-      test_plan_floors_experiments;
     Alcotest.test_case "experiments honour the sim budget" `Quick
       test_experiments_honour_sim_budget;
   ]

@@ -38,42 +38,7 @@ let full_submission =
         sim_budget = Some 100_000;
         faults = [ fault "variant=2:raise"; fault "variant=5:timeout" ];
         profile = true;
-        plan = None;
       };
-  }
-
-(* A small but fully-populated plan, for wire-fidelity checks: a
-   submission carrying a plan must decode to the identical plan. *)
-let sample_plan =
-  {
-    Mt_optimize.Plan.schema = Mt_optimize.Plan.schema_version;
-    created_at = 1700000000.5;
-    history_dir = "/tmp/hist";
-    runs = 6;
-    kernel_name = "copy";
-    kernel_hash = "kh-1";
-    machine_name = "laptop";
-    machine_hash = "mh-1";
-    knobs = Mt_optimize.Optimizer.default_knobs;
-    keep =
-      [
-        {
-          Mt_optimize.Plan.variant = "movss_u1";
-          experiments = Some 2;
-          stable = true;
-          cov = 0.001;
-          rciw = 0.002;
-          trend = "stationary";
-        };
-        {
-          Mt_optimize.Plan.variant = "movss_u3";
-          experiments = None;
-          stable = false;
-          cov = 0.09;
-          rciw = 0.2;
-          trend = "drift";
-        };
-      ];
   }
 
 let roundtrip_request req =
@@ -96,11 +61,6 @@ let test_request_roundtrip () =
           full_submission with
           Protocol.machine = Protocol.Preset "nehalem_x5650_2s";
           run = Protocol.default_run_options;
-        };
-      Protocol.Submit
-        {
-          full_submission with
-          Protocol.run = { full_submission.run with plan = Some sample_plan };
         };
       Protocol.Ping;
       Protocol.Stats;
@@ -212,7 +172,7 @@ let test_framing_one_line_per_message () =
 
 (* Random requests for the codec's round-trip and totality properties.
    Strings take any byte; numbers stay within what JSON carries exactly,
-   and budgets are positive, as the decoder requires. *)
+   and budgets and RCIW targets are positive, as the decoder requires. *)
 let gen_request =
   let open QCheck.Gen in
   let str = string_size ~gen:char (0 -- 16) in
@@ -225,23 +185,15 @@ let gen_request =
   in
   let run =
     map
-      (fun ((seed, adaptive, wall_budget_s, sim_budget), (faults, profile, plan)) ->
-        {
-          Protocol.seed;
-          adaptive;
-          wall_budget_s;
-          sim_budget;
-          faults;
-          profile;
-          plan;
-        })
+      (fun ((seed, adaptive, wall_budget_s, sim_budget), (faults, profile)) ->
+        { Protocol.seed; adaptive; wall_budget_s; sim_budget; faults; profile })
       (pair
          (quad
             (opt (int_range (-1_000_000) 1_000_000))
-            (opt (pair (float_range 0. 1.) small))
+            (opt (pair (float_range 1e-6 1.) small))
             (opt (float_range 1e-6 1e6))
             (opt (1 -- 1_000_000_000)))
-         (triple (list_size (0 -- 4) fault) bool (opt Optimize_tests.gen_plan)))
+         (pair (list_size (0 -- 4) fault) bool))
   in
   let machine =
     oneof
@@ -524,22 +476,6 @@ let stat daemon key =
   | Some v -> v
   | None -> Alcotest.failf "missing counter %s" key
 
-(* Floors every other variant of [small_submission]'s study to one
-   experiment. *)
-let small_plan () =
-  {
-    sample_plan with
-    Mt_optimize.Plan.keep =
-      List.filteri (fun i _ -> i mod 2 = 0)
-        (Microtools.Study.variants (small_study ()))
-      |> List.map (fun v ->
-             {
-               (List.hd sample_plan.Mt_optimize.Plan.keep) with
-               Mt_optimize.Plan.variant = Mt_creator.Variant.id v;
-               experiments = Some 1;
-             });
-  }
-
 (* The snapshot members a run's options decide: the options block and
    every variant's statistics (their bootstrap draws from the seed). *)
 let measured_members snapshot =
@@ -554,7 +490,7 @@ let local_members config =
     (Mt_obsv.Snapshot.to_json (Microtools.Study.snapshot ~config study outcomes))
 
 (* A resubmission runs the study its first submission built, under its
-   own run options: the seed and the plan still reach every variant. *)
+   own run options: the seed still reaches every variant. *)
 let test_daemon_reuses_studies () =
   with_daemon (fun ~socket ~daemon ->
       let submit run =
@@ -579,14 +515,8 @@ let test_daemon_reuses_studies () =
         (seeded_members = local_members seed);
       check_bool "the seed reaches the snapshot" true
         (seeded_members <> first_members);
-      let plan = small_plan () in
-      let planned, _ = submit { Protocol.default_run_options with plan = Some plan } in
-      check_string "a reused study under a plan: the local CSV"
-        (one_shot_csv_text ~config:(Microtools.Study.Run_config.make ~plan ()) ())
-        planned;
-      check_bool "the plan reaches the CSV" true (planned <> first);
       check_int "still built once" 1 (stat daemon "serve.studies.built");
-      check_int "reused three times" 3 (stat daemon "serve.studies.reused");
+      check_int "reused twice" 2 (stat daemon "serve.studies.reused");
       check_int "its variants are kept" 14
         (stat daemon "serve.studies.kept_variants");
       match Client.metrics ~socket with
@@ -594,7 +524,7 @@ let test_daemon_reuses_studies () =
       | Ok m ->
         check_bool "metrics carry the study counters" true
           (List.assoc_opt "serve.studies.built" m.Protocol.m_counters = Some 1
-          && List.assoc_opt "serve.studies.reused" m.Protocol.m_counters = Some 3))
+          && List.assoc_opt "serve.studies.reused" m.Protocol.m_counters = Some 2))
 
 (* More distinct studies than the bound holds: each one that would pass
    it empties the table first.  Every variant raises before the
@@ -1011,6 +941,56 @@ let test_daemon_refuses_budget member values () =
             (string_contains member (bad_request ~socket bad)))
         values)
 
+(* An RCIW target that is not positive and finite would fail every
+   variant or never stop early; the decoder refuses it by name.  NaN
+   travels as null, which is no number either. *)
+let test_rciw_target_refused () =
+  List.iter
+    (fun target ->
+      let run =
+        { Protocol.default_run_options with adaptive = Some (target, 8) }
+      in
+      match
+        Protocol.request_of_json
+          (Protocol.request_to_json
+             (Protocol.Submit { small_submission with Protocol.run }))
+      with
+      | Ok _ -> Alcotest.failf "rciw_target %g was accepted" target
+      | Error msg ->
+        check_bool
+          (Printf.sprintf "rciw_target %g is refused by name" target)
+          true
+          (string_contains "rciw_target" msg))
+    [ 0.; -1.; Float.infinity; Float.nan ]
+
+(* A client from before study plans were retired may still send one.
+   Ignored, it would change the client's results without telling it,
+   so it is refused before it takes the one worker, naming the flags
+   that replace it; the job sent next completes. *)
+let test_daemon_refuses_plan () =
+  let deadline = Unix.gettimeofday () +. 20. in
+  with_daemon ~workers:1 (fun ~socket ~daemon ->
+      let line =
+        replace_once ~needle:"\"plan\":null"
+          ~by:
+            "\"plan\":{\"schema\":2,\"keep\":[{\"variant\":\"loadstore-u_1\",\
+             \"experiments\":2,\"stable\":true}]}"
+          (Lazy.force old_client_line)
+      in
+      check_bool "the plan is refused, naming the adaptive flags" true
+        (string_contains "--experiments N --adaptive-experiments"
+           (bad_request ~socket line));
+      (match
+         List.rev
+           (responses ~deadline
+              (send_line socket
+                 (request_line (Protocol.Submit small_submission) ^ "\n")))
+       with
+      | Protocol.Done { quarantined = 0; _ } :: _ -> ()
+      | _ -> Alcotest.fail "the job sent after the plan did not complete");
+      check_int "only that job ran" 1 (stat daemon "serve.jobs.completed");
+      check_int "only its study was built" 1 (stat daemon "serve.studies.built"))
+
 let test_daemon_rejects_live_socket_reuse () =
   with_daemon (fun ~socket ~daemon:_ ->
       check_bool "second daemon on a live socket refuses" true
@@ -1067,4 +1047,7 @@ let suite =
       (test_daemon_refuses_budget "wall_budget_s" [ "0"; "-1"; "1e999" ]);
     Alcotest.test_case "daemon refuses a bad sim budget" `Quick
       (test_daemon_refuses_budget "sim_budget" [ "0"; "-5" ]);
+    Alcotest.test_case "rciw target refused" `Quick test_rciw_target_refused;
+    Alcotest.test_case "daemon refuses a study plan" `Quick
+      test_daemon_refuses_plan;
   ]

@@ -271,33 +271,6 @@ let test_cache_keys_pinned () =
       ("matmul200", "matmul200-u_8", "4339f3585da28e8480053cf12c117cd7");
     ]
 
-(* A plan flooring every third variant to 2 experiments. *)
-let floor_plan study =
-  {
-    Mt_optimize.Plan.schema = Mt_optimize.Plan.schema_version;
-    created_at = 0.;
-    history_dir = "";
-    runs = 6;
-    kernel_name = "";
-    kernel_hash = "";
-    machine_name = "";
-    machine_hash = "";
-    knobs = Mt_optimize.Optimizer.default_knobs;
-    keep =
-      List.filteri
-        (fun i _ -> i mod 3 = 0)
-        (Microtools.Study.variants study)
-      |> List.map (fun v ->
-             {
-               Mt_optimize.Plan.variant = Variant.id v;
-               experiments = Some 2;
-               stable = true;
-               cov = 0.;
-               rciw = 0.;
-               trend = "stationary";
-             });
-  }
-
 (* Every variant's journal key is its [Study.cache_key] under the
    options it ran with.  An injected raise at every index stops each
    variant before the launcher, so the whole corpus journals in well
@@ -307,41 +280,33 @@ let test_journal_keys_are_cache_keys () =
     (fun name ->
       let study = corpus_study name in
       let variants = Microtools.Study.variants study in
-      List.iter
-        (fun plan ->
-          let journal = Filename.temp_file "mt-keys" ".journal" in
-          let config =
-            Microtools.Study.Run_config.make ~journal_out:journal ?plan
-              ~faults:
-                (List.mapi
-                   (fun index _ ->
-                     { Mt_resilience.Fault.index; kind = Mt_resilience.Fault.Raise })
-                   variants)
-              ()
-          in
-          ignore (Microtools.Study.run ~config study);
-          let entries =
-            match Mt_resilience.Journal.load journal with
-            | Ok entries -> entries
-            | Error msg -> Alcotest.failf "%s: %s" name msg
-          in
-          Sys.remove journal;
-          check_int (name ^ ": one record per variant") (List.length variants)
-            (List.length entries);
-          List.iter2
-            (fun v entry ->
-              let options =
-                Microtools.Study.Run_config.plan_options config
-                  ~variant_id:(Variant.id v)
-                  (Microtools.Study.Run_config.apply_options config key_opts)
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s%s key" (Variant.id v)
-                   (if plan = None then "" else " (planned)"))
-                (Microtools.Study.cache_key options v)
-                entry.Mt_resilience.Journal.key)
-            variants entries)
-        [ None; Some (floor_plan study) ])
+      let journal = Filename.temp_file "mt-keys" ".journal" in
+      let config =
+        Microtools.Study.Run_config.make ~journal_out:journal
+          ~faults:
+            (List.mapi
+               (fun index _ ->
+                 { Mt_resilience.Fault.index; kind = Mt_resilience.Fault.Raise })
+               variants)
+          ()
+      in
+      ignore (Microtools.Study.run ~config study);
+      let entries =
+        match Mt_resilience.Journal.load journal with
+        | Ok entries -> entries
+        | Error msg -> Alcotest.failf "%s: %s" name msg
+      in
+      Sys.remove journal;
+      check_int (name ^ ": one record per variant") (List.length variants)
+        (List.length entries);
+      let options = Microtools.Study.Run_config.apply_options config key_opts in
+      List.iter2
+        (fun v entry ->
+          Alcotest.(check string)
+            (Variant.id v ^ " key")
+            (Microtools.Study.cache_key options v)
+            entry.Mt_resilience.Journal.key)
+        variants entries)
     (corpus_names ())
 
 let tests =

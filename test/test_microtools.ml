@@ -26,7 +26,6 @@ let () =
       ("telemetry", Telemetry_tests.tests);
       ("obsv", Obsv_tests.tests);
       ("history", History_tests.tests);
-      ("optimize", Optimize_tests.tests);
       ("quality", Quality_tests.tests);
       ("serve", Serve_tests.suite);
       ("extensions", Extensions_tests.tests);
