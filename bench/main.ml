@@ -95,7 +95,7 @@ let run_experiments ~quick ~config ids =
    working sets (a one-line pointer ring, one-line vectors at
    set-distinct offsets) so the lane isolates interpreter overhead.
    The memory model is not free to the reference: it never reads the
-   memo, so it pays the stream-table scans the fast path skips, and
+   memo, so it pays the stream-table pass the fast path skips, and
    the memory kernels read a lower ratio than the ALU mix.  Each row
    times a full [Core.run] against [Core.run_reference] on the same
    compiled program, so the ratio is exactly the fast-path win. *)

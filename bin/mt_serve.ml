@@ -121,6 +121,6 @@ let cmd =
        ~exits:(Cmd.Exit.info 2 ~doc:"cannot bind the socket." :: Cmd.Exit.defaults))
     Term.(
       const run $ socket_arg $ queue_arg $ workers_arg $ state_dir_arg
-      $ history_dir_arg $ log_json_arg $ Mt_cli.term)
+      $ history_dir_arg $ log_json_arg $ Mt_cli.serve_term)
 
 let () = exit (Cmd.eval' cmd)

@@ -259,21 +259,21 @@ let submit_arg =
 (* Assembly                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let cache_of ~no_cache cache_dir cache_max_mb =
+  if no_cache then None
+  else
+    Some
+      (Mt_parallel.Cache.create
+         ~dir:
+           (Option.value ~default:(Mt_parallel.Cache.default_dir ()) cache_dir)
+         ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb)
+         ())
+
 let build jobs cache_dir cache_max_mb no_cache adaptive rciw_target
     max_experiments timeout sim_budget faults journal resume trace_out
     metrics_out snapshot_out history_append trace_detail profile
     profile_folded =
-  let cache =
-    if no_cache then None
-    else
-      Some
-        (Mt_parallel.Cache.create
-           ~dir:
-             (Option.value ~default:(Mt_parallel.Cache.default_dir ())
-                cache_dir)
-           ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb)
-           ())
-  in
+  let cache = cache_of ~no_cache cache_dir cache_max_mb in
   Microtools.Study.Run_config.make ~domains:jobs ?cache
     ?adaptive:(if adaptive then Some (rciw_target, max_experiments) else None)
     ?wall_budget_s:timeout ?sim_budget ~faults ?journal_out:journal
@@ -290,6 +290,22 @@ let term =
     $ faults_arg
     $ journal_arg $ resume_arg $ trace_arg $ metrics_arg $ snapshot_arg
     $ history_arg $ trace_detail_arg $ profile_arg $ profile_folded_arg)
+
+(* A daemon takes seed, adaptive knobs, budgets, faults and profiling
+   from each submission, writes no snapshot, history entry or folded
+   profile of its own, and journals only under its state directory.
+   Of the shared flags it keeps parallelism, the cache and its own
+   trace and metrics. *)
+let serve_term =
+  let build jobs cache_dir cache_max_mb no_cache trace_out metrics_out
+      trace_detail =
+    Microtools.Study.Run_config.make ~domains:jobs
+      ?cache:(cache_of ~no_cache cache_dir cache_max_mb)
+      ?trace_out ?metrics_out ~trace_detail ()
+  in
+  Term.(
+    const build $ jobs_arg $ cache_dir_arg $ cache_max_mb_arg $ no_cache_arg
+    $ trace_arg $ metrics_arg $ trace_detail_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Shared runtime plumbing                                             *)

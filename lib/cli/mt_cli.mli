@@ -19,6 +19,13 @@ val term : t Cmdliner.Term.t
 (** The shared flag set as a Cmdliner term.  Builds the cache eagerly
     (unless [--no-cache]). *)
 
+val serve_term : t Cmdliner.Term.t
+(** The part of {!term} a daemon uses: [--jobs], the cache flags,
+    [--trace-out], [--metrics-out] and [--trace-detail].  Each
+    submission brings the run-shaping settings, and the daemon writes
+    no snapshot, history entry, folded profile or journal from flags,
+    so mt_serve refuses the rest as unknown options. *)
+
 val submit_arg : string option Cmdliner.Term.t
 (** The [--submit SOCKET] flag routing a run to an mt_serve daemon
     instead of measuring locally.  Kept out of {!term} so only binaries

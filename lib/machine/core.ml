@@ -321,81 +321,6 @@ let fast_of cp =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Cycle-granular port booking with gap filling: a uop that becomes
-   ready at cycle [t] takes the first cycle >= t in which fewer than
-   [ports] uops are already booked — younger ready uops slot into the
-   holes older stalled uops leave, as a real scheduler does.  The ring
-   remembers [window] cycles; bookings never spread wider than the
-   instruction window allows in practice.
-
-   A ring serves many calls and is never cleared.  Each slot is tagged
-   with its cycle plus the call's [base], and [start_call] moves [base]
-   past the highest tag the ring holds, so no slot booked by an earlier
-   call can match.  Within one call every tag is the cycle plus the
-   same constant: slots collide and get overwritten exactly as in a
-   fresh ring.  ([base] grows by one call's cycle count per call;
-   reaching [max_int] would take millennia of simulation.) *)
-module Booker = struct
-  type t = {
-    mutable ports : int;
-    counts : int array;
-    tag : int array;  (* cycle + base of the booking in the slot *)
-    mutable base : int;
-    mutable top : int;  (* highest tag written *)
-  }
-
-  let window = 8192
-
-  (* [window] is a power of two so the ring index is a mask, not an
-     integer division — [book] runs once per booked cycle on the hot
-     path and idiv latency would dominate it. *)
-  let mask = window - 1
-
-  let create ~ports =
-    { ports; counts = Array.make window 0; tag = Array.make window min_int;
-      base = 0; top = -1 }
-
-  let start_call t ~ports =
-    t.ports <- ports;
-    t.base <- t.top + 1
-
-  (* [idx] is masked into [0, window), so the ring accesses skip the
-     bounds checks. *)
-  let rec book t c =
-    let idx = c land mask in
-    let key = c + t.base in
-    if Array.unsafe_get t.tag idx <> key then begin
-      Array.unsafe_set t.tag idx key;
-      Array.unsafe_set t.counts idx 0;
-      if key > t.top then t.top <- key
-    end;
-    let n = Array.unsafe_get t.counts idx in
-    if n < t.ports then begin
-      Array.unsafe_set t.counts idx (n + 1);
-      c
-    end
-    else book t (c + 1)
-
-  let rec extend_span t c remaining =
-    if remaining > 0 then begin
-      ignore (book t c);
-      extend_span t (c + 1) (remaining - 1)
-    end
-
-  (* Book [occupancy] consecutive cycles starting no earlier than cycle
-     [start]; returns the first booked cycle.  All-integer so the hot
-     path never boxes. *)
-  let book_span t ~start ~occupancy =
-    let first = book t start in
-    extend_span t (first + 1) (occupancy - 1);
-    first
-
-  (* Float-facing wrapper kept for the reference interpreter. *)
-  let book_from t ~time ~occupancy =
-    float_of_int
-      (book_span t ~start:(int_of_float (Float.ceil time)) ~occupancy)
-end
-
 (* A port file: one booker per port class, indexed by [port_index]. *)
 let port_counts (cfg : Config.t) =
   [| cfg.load_ports; cfg.store_ports; cfg.alu_ports; cfg.fp_add_ports;
@@ -665,10 +590,15 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
   let mem_memo_line = memory.Memory.memo_line in
   let mem_memo_stream = memory.Memory.memo_stream in
   let mem_st_addr = memory.Memory.st_addr in
+  let mem_clk = memory.Memory.clk in
   let mem_lshift = mem_l1.Cache.line_shift in
   let mem_tlb_on = memory.Memory.tlb_on in
   let mem_prefetcher_on = memory.Memory.prefetcher_on in
-  let mem_fast_ok = memory.Memory.alias_scale = 0. in
+  let mem_alias_on = memory.Memory.alias_scale <> 0. in
+  let mem_alias_pen =
+    memory.Memory.cfg.Config.page_4k_alias_penalty_cycles
+    *. memory.Memory.alias_scale
+  in
   let memo_n = Array.length mem_memo_line in
   let l1_lat_f = float_of_int cfg.l1_latency_cycles in
   let ready = Array.make slot_count 0. in
@@ -734,27 +664,10 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
          if d.f_uport >= 0 then begin
            (* Common case: one occupancy-1 uop — book it directly,
               skipping the uop loop and the span extension.  The
-              first ring probe is open-coded; only a saturated cycle
+              first ring probe is inlined; only a saturated cycle
               falls back to the general walk. *)
-           let bk = Array.unsafe_get bookers d.f_uport in
-           let start = iceil s.s_t in
-           let idx = start land Booker.mask in
-           let key = start + bk.Booker.base in
            let slot =
-             if Array.unsafe_get bk.Booker.tag idx <> key then begin
-               Array.unsafe_set bk.Booker.tag idx key;
-               Array.unsafe_set bk.Booker.counts idx 1;
-               if key > bk.Booker.top then bk.Booker.top <- key;
-               start
-             end
-             else begin
-               let n = Array.unsafe_get bk.Booker.counts idx in
-               if n < bk.Booker.ports then begin
-                 Array.unsafe_set bk.Booker.counts idx (n + 1);
-                 start
-               end
-               else Booker.book bk (start + 1)
-             end
+             Booker.book1 (Array.unsafe_get bookers d.f_uport) (iceil s.s_t)
            in
            let slotf = float_of_int slot in
            if slotf > s.s_issue then begin
@@ -795,9 +708,8 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
                 else 0)
            in
            if d.f_mem = 2 then
-             ignore
-               (Memory.access_nt memory ~nt:false ~now:s.s_issue ~addr
-                  ~bytes:d.f_bytes ~write:false)
+             Memory.access_nt memory ~nt:false ~now:s.s_issue ~addr
+               ~bytes:d.f_bytes ~write:false
            else if d.f_align > 1 && addr mod d.f_align <> 0 then begin
              err := Some (Alignment_fault { pc = d.f_pc; addr; required = d.f_align });
              raise_notrace Stop_run
@@ -808,11 +720,11 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
                 checks that find the memo slot are pure, so a miss falls
                 back to the full pipeline with no state touched.  A hit
                 is finished here, with exactly the mutations
-                [Memory.access_nt]'s scan path performs. *)
+                [Memory.access_nt]'s stream-table pass performs. *)
              let line = addr lsr mem_lshift in
              let slot =
                if
-                 mem_fast_ok && (not d.f_nt) && d.f_bytes >= 1
+                 (not d.f_nt) && d.f_bytes >= 1
                  && (addr + d.f_bytes - 1) lsr mem_lshift = line
                then begin
                  let sl = ref (-1) in
@@ -829,6 +741,19 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
                if slot >= 0 then begin
                  memory.Memory.c_accesses <- memory.Memory.c_accesses + 1;
                  memory.Memory.last_split <- false;
+                 (* The alias part first, as [Memory.access_nt] does it:
+                    the test reads the addresses held before this
+                    access records its own. *)
+                 let alias_pen =
+                   if mem_alias_on && Memory.alias_conflict memory addr then begin
+                     memory.Memory.c_alias <- memory.Memory.c_alias + 1;
+                     let bw = Array.unsafe_get mem_clk Memory.bandwidth in
+                     Array.unsafe_set mem_clk Memory.bandwidth
+                       (Float.max bw s.s_issue +. mem_alias_pen);
+                     mem_alias_pen
+                   end
+                   else 0.
+                 in
                  Array.unsafe_set mem_st_addr (Array.unsafe_get mem_memo_stream slot) addr;
                  let now =
                    if not mem_tlb_on then s.s_issue
@@ -857,29 +782,26 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
                    end
                    else Cache.access mem_l1 line
                  in
-                 (* The ready time feeds the arithmetic directly: bound
-                    to a name, a float joined from an addition and a
-                    call would be boxed on every hit. *)
                  (if l1_hit then begin
                     memory.Memory.last_level <- Memory.L1;
                     memory.Memory.c_l1_hits <- memory.Memory.c_l1_hits + 1;
                     now +. l1_lat_f
                   end
-                  else
+                  else begin
                     Memory.miss_l1 memory ~now ~line ~streamed:mem_prefetcher_on
-                      ~write:d.f_write)
-                 +. d.f_lat -. 1.
+                      ~write:d.f_write;
+                    Array.unsafe_get mem_clk Memory.ready
+                  end)
+                 +. alias_pen +. d.f_lat -. 1.
                end
                else begin
-                 let dr =
-                   Memory.access_nt memory ~nt:d.f_nt ~now:s.s_issue ~addr
-                     ~bytes:d.f_bytes ~write:d.f_write
-                 in
+                 Memory.access_nt memory ~nt:d.f_nt ~now:s.s_issue ~addr
+                   ~bytes:d.f_bytes ~write:d.f_write;
                  if Memory.last_access_was_split memory then
                    ignore
                      (Booker.book_span bookers.(if d.f_write then 1 else 0)
                         ~start:(iceil s.s_issue) ~occupancy:1);
-                 dr +. d.f_lat -. 1.
+                 Array.unsafe_get mem_clk Memory.ready +. d.f_lat -. 1.
                end
              in
              if dc > s.s_completion then s.s_completion <- dc

@@ -26,14 +26,18 @@ type t = {
   l3 : Cache.t;
   dtlb : Cache.t;
   stlb : Cache.t;
-  mutable walker_free : float;
+  clk : float array;
+      (** Float cells: when the page walker and the fill path
+          ({!bandwidth}) free up, and the last ready time ({!ready}).
+          In a float array, writing a clock never boxes. *)
   ram_share : float;
+  transfer : float array;
+  latency : float array;
   st_line : int array;
   st_stride : int array;
   st_addr : int array;
   mutable next_stream : int;
   fill_buffers : float array;
-  mutable bandwidth_free : float;
   mutable c_accesses : int;
   mutable c_l1_hits : int;
   mutable c_l2_hits : int;
@@ -50,18 +54,27 @@ type t = {
 }
 (** Exposed concretely — like {!Exec.t} and {!Cache.t} — so
     {!Core.run}'s replay loop can open-code the steady-state access (a
-    single line whose stream scan [memo_line] holds as a pure hit)
-    without a cross-module call or a boxed float return.  That block is
-    the only reader of the memo: this module's own accesses always take
-    the stream-table scans, so {!Core.run_reference} checks the memo
-    against the scans it replaces.  The block's checks before it
-    commits (no alias interference, not non-temporal, one line, memo
-    hit) are pure, so a miss falls back to {!access_nt} with no state
-    touched.  A memo hit never falls back: the block performs exactly
-    the mutations {!access} would, finishing a dTLB miss with
-    {!translate_miss} and an L1 miss with {!miss_l1}.  All other users
-    must mutate it only through {!access}; the launcher's trace lanes
-    read the [l1]/[l2]/[l3] caches' hit/miss counters. *)
+    single line whose stream-table pass [memo_line] holds as a pure
+    hit) without a cross-module call or a boxed float return.  That
+    block is the only reader of the memo: this module's own accesses
+    always take the stream-table pass, so {!Core.run_reference} checks
+    the memo against the pass it replaces.  The block's checks before
+    it commits (not non-temporal, one line, memo hit) are pure, so a
+    miss falls back to {!access_nt} with no state touched.  A memo hit
+    never falls back: the block performs exactly the mutations
+    {!access} would.  With alias interference on, that starts with the
+    alias part, through {!alias_conflict} and the [bandwidth] cell; a
+    dTLB miss finishes through {!translate_miss} and an L1 miss through
+    {!miss_l1}.  All other users must mutate it only through {!access};
+    the launcher's trace lanes read the [l1]/[l2]/[l3] caches' hit/miss
+    counters. *)
+
+val bandwidth : int
+(** The [clk] cell holding the time the fill path frees up. *)
+
+val ready : int
+(** The [clk] cell in which {!access_nt} and {!miss_l1} leave the
+    data-ready time of the access they served. *)
 
 type counters = {
   accesses : int;
@@ -107,10 +120,18 @@ val access :
     DRAM traffic — the [movntps] behaviour. *)
 
 val access_nt :
-  t -> nt:bool -> now:float -> addr:int -> bytes:int -> write:bool -> float
-(** Exactly {!access}, with the non-temporal flag passed plainly.  The
-    core's allocation-free path uses this so a dynamic [~nt] never
-    constructs an option per access. *)
+  t -> nt:bool -> now:float -> addr:int -> bytes:int -> write:bool -> unit
+(** Exactly {!access}, with the non-temporal flag passed plainly and
+    the data-ready time left in the {!ready} cell.  The core's
+    allocation-free path uses this so a dynamic [~nt] never constructs
+    an option and the ready time is never boxed. *)
+
+val alias_conflict : t -> int -> bool
+(** Whether an access to this address collides modulo 4 KiB with the
+    last address of another tracked stream.  Pure.  The open-coded
+    access in {!Core.run} calls it on a memo hit when alias
+    interference is on, before the hit records its address; no one
+    else should. *)
 
 val translate_miss : t -> now:float -> page:int -> float
 (** The translation penalty of an access at [now] to [page], which
@@ -119,11 +140,12 @@ val translate_miss : t -> now:float -> page:int -> float
     any walk.  The open-coded access in {!Core.run} calls it after its
     dTLB lookup missed; no one else should. *)
 
-val miss_l1 : t -> now:float -> line:int -> streamed:bool -> write:bool -> float
+val miss_l1 : t -> now:float -> line:int -> streamed:bool -> write:bool -> unit
 (** Serve an access at [now] to [line], which missed L1: look it up in
     L2 and L3 (allocating it at every level it missed), record and
     count the serving level, and charge the line fill.  [streamed]
-    fills are covered by the prefetcher.  Returns the data-ready time.
+    fills are covered by the prefetcher.  Leaves the data-ready time in
+    the {!ready} cell.
     The open-coded access in {!Core.run} calls it after its L1 lookup
     missed; no one else should. *)
 

@@ -54,21 +54,25 @@ let show_result = function
   | Error e -> "Error " ^ Core.error_to_string e
 
 (* Run the same compiled program through both engines on identically
-   fresh state and demand bit-identical results. *)
+   fresh state and demand bit-identical results: [calls] times on the
+   same pair of pipelines, so later calls start warm, as the launcher's
+   do. *)
 let check_equivalent ?(what = "engines agree") ?init ?max_instructions
-    ?(machine = cfg) ?ram_sharers program =
+    ?(machine = cfg) ?ram_sharers ?(calls = 1) program =
   match Core.compile program with
   | Error e -> Alcotest.failf "%s: compile: %s" what (Core.error_to_string e)
   | Ok compiled ->
     let mem_fast = Memory.create ?ram_sharers machine in
     let mem_ref = Memory.create ?ram_sharers machine in
-    let fast = Core.run ?init ?max_instructions machine mem_fast compiled in
-    let reference =
-      Core.run_reference ?init ?max_instructions machine mem_ref compiled
-    in
-    if fast <> reference then
-      Alcotest.failf "%s:\n  fast: %s\n  ref:  %s" what (show_result fast)
-        (show_result reference)
+    for call = 1 to calls do
+      let fast = Core.run ?init ?max_instructions machine mem_fast compiled in
+      let reference =
+        Core.run_reference ?init ?max_instructions machine mem_ref compiled
+      in
+      if fast <> reference then
+        Alcotest.failf "%s, call %d:\n  fast: %s\n  ref:  %s" what call
+          (show_result fast) (show_result reference)
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Directed equivalence cases                                          *)
@@ -128,6 +132,17 @@ let test_equiv_alias_sharers () =
        [
          i Insn.MOVSS [ Operand.mem ~base:rsi (); Operand.reg xmm0 ];
          i Insn.MOVSS [ Operand.mem ~base:rsi ~disp:(1 lsl 20) (); Operand.reg (Reg.xmm 1) ];
+         i Insn.ADD [ Operand.imm 4; Operand.reg rsi ];
+       ])
+
+(* parmodes' shape: one 4-byte load stream on a pipeline shared by 4
+   cores, so nearly every access is a memo hit on the alias path. *)
+let test_equiv_alias_memo_hits () =
+  check_equivalent ~what:"alias memo hits" ~ram_sharers:4 ~calls:3
+    ~init:[ (rdi, 999); (rsi, 1 lsl 22) ]
+    (loop
+       [
+         i Insn.MOVSS [ Operand.mem ~base:rsi (); Operand.reg (Reg.xmm 0) ];
          i Insn.ADD [ Operand.imm 4; Operand.reg rsi ];
        ])
 
@@ -313,14 +328,101 @@ let prop_random_programs =
   let gen =
     Gen.(
       list_size (1 -- 8) body_insn >>= fun body ->
-      1 -- 40 >|= fun trips -> (body, trips))
+      1 -- 40 >>= fun trips ->
+      oneofl [ 1; 4 ] >|= fun sharers -> (body, trips, sharers))
   in
-  Test.make ~count:80 ~name:"fastpath: random programs match the reference"
-    (make gen) (fun (body, trips) ->
-      check_equivalent ~what:"random program"
+  (* 4 sharers take the alias path.  At 80 cases a core that dropped
+     the alias penalty on memo hits still passed. *)
+  Test.make ~count:300 ~name:"fastpath: random programs match the reference"
+    (make gen) (fun (body, trips, sharers) ->
+      check_equivalent ~what:"random program" ~ram_sharers:sharers ~calls:3
         ~init:[ (rdi, trips); (rsi, 1 lsl 22) ]
         (loop (List.map (fun x -> Insn.Insn x) body));
       true)
+
+(* ------------------------------------------------------------------ *)
+(* The port booker against its earlier copy                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of a booking sequence.  The ready time moves by [dt]
+   before each booking. *)
+type booking =
+  | Call of int  (* a new call on the same rings, with this many ports *)
+  | One of int  (* a single-uop booking, through the inlined first probe *)
+  | Span of int * int  (* a booking of [occupancy] cycles *)
+
+let show_booking = function
+  | Call p -> Printf.sprintf "call %d" p
+  | One dt -> Printf.sprintf "one %+d" dt
+  | Span (dt, occ) -> Printf.sprintf "span %+d x%d" dt occ
+
+(* Ready times mostly step by 0 or 1, so ports saturate and walks grow
+   long; sometimes they jump more than the ring's 8,192 cycles either
+   way, so slots wrap.  Most jumps land within a few dozen slots of
+   where the ready time was, on the slots recent walks filled. *)
+let gen_booking =
+  QCheck.Gen.(
+    let jump = frequency [ (3, 8_193 -- 8_232); (1, 8_193 -- 30_000) ] in
+    let dt =
+      frequency [ (40, 0 -- 1); (1, jump); (1, jump >|= fun d -> -d) ]
+    in
+    frequency
+      [
+        (1, 1 -- 3 >|= fun p -> Call p);
+        (30, dt >|= fun dt -> One dt);
+        ( 10,
+          dt >>= fun dt ->
+          frequencyl [ (4, 1); (1, 22) ] >>= fun occ ->
+          1 -- occ >|= fun occ -> Span (dt, occ) );
+      ])
+
+(* Both engines share [Booker], so the engine suites cannot see a
+   change to it; the copy in test/booker_reference.ml can. *)
+let prop_booker_matches_reference =
+  let open QCheck in
+  let gen =
+    Gen.(pair (1 -- 3) (list_size (1 -- 400) gen_booking))
+  in
+  let print = Print.(pair int (list show_booking)) in
+  Test.make ~count:500 ~name:"booker: bookings match the reference booker"
+    (make ~print gen) (fun (ports, steps) ->
+      let module R = Booker_reference in
+      let b = Booker.create ~ports in
+      let r = R.create ~ports in
+      let t = ref 50_000 in
+      let move dt = t := max 0 (!t + dt) in
+      List.for_all
+        (function
+          | Call ports ->
+            Booker.start_call b ~ports;
+            R.start_call r ~ports;
+            true
+          | One dt ->
+            move dt;
+            Booker.book1 b !t = R.book r !t
+          | Span (dt, occupancy) ->
+            move dt;
+            Booker.book_span b ~start:!t ~occupancy
+            = R.book_span r ~start:!t ~occupancy)
+        steps)
+
+(* A walk across every slot of the ring: one port, each of its 8,192
+   cycles booked full, then a booking at the first of them walks to the
+   8,193rd cycle and takes over the first one's slot.  The first cycle
+   is free again, so a walk from it must not skip it. *)
+let test_booker_walk_across_the_ring () =
+  let module R = Booker_reference in
+  let b = Booker.create ~ports:1 in
+  let r = R.create ~ports:1 in
+  let check what got want =
+    if got <> want then Alcotest.failf "%s: booked %d, reference %d" what got want
+  in
+  for c = 0 to Booker.window - 1 do
+    check "filling the ring" (Booker.book1 b c) (R.book r c)
+  done;
+  check "the walk across it" (Booker.book1 b 0) (R.book r 0);
+  check "a walk from the freed cycle" (Booker.book_span b ~start:0 ~occupancy:1)
+    (R.book_span r ~start:0 ~occupancy:1)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation discipline                                               *)
@@ -368,12 +470,11 @@ let compile_exn program =
   | Ok c -> c
   | Error e -> Alcotest.fail (Core.error_to_string e)
 
-(* Four streams in one L1 set: most accesses are memo hits on a
-   non-MRU way, finished inline without boxing a ready time.  What
-   remains is the new-line accesses' trip through [Memory]. *)
-let test_memo_hits_barely_allocate () =
-  let compiled = compile_exn (loads_apart ~n:4 ~apart:4096) in
-  let memory = Memory.create cfg in
+(* Minor words per loop trip of [program] in steady state: the
+   difference between a long and a short warm call. *)
+let words_per_trip ?ram_sharers program =
+  let compiled = compile_exn program in
+  let memory = Memory.create ?ram_sharers cfg in
   let words_for trips =
     let init = [ (rdi, trips); (rsi, 1 lsl 22) ] in
     ignore (Core.run ~init cfg memory compiled);
@@ -383,9 +484,38 @@ let test_memo_hits_barely_allocate () =
   in
   let small = words_for 100 in
   let large = words_for 5_000 in
-  let per_trip = (large -. small) /. float_of_int (5_000 - 100) in
-  if per_trip > 3. then
-    Alcotest.failf "the 4-load loop allocates %.2f minor words per iteration" per_trip
+  (large -. small) /. float_of_int (5_000 - 100)
+
+let check_words_per_trip what ~bound ?ram_sharers program =
+  let per_trip = words_per_trip ?ram_sharers program in
+  if per_trip > bound then
+    Alcotest.failf "%s allocates %.2f minor words per iteration (bound %.0f)" what
+      per_trip bound
+
+let load_stepping step =
+  loop
+    [
+      i Insn.MOVSS [ Operand.mem ~base:rsi (); Operand.reg (Reg.xmm 0) ];
+      i Insn.ADD [ Operand.imm step; Operand.reg rsi ];
+    ]
+
+(* Four streams in one L1 set: most accesses are memo hits on a
+   non-MRU way, finished inline without boxing a ready time.  What
+   remains is the new-line accesses' trip through [Memory]. *)
+let test_memo_hits_barely_allocate () =
+  check_words_per_trip "the 4-load loop" ~bound:3. (loads_apart ~n:4 ~apart:4096)
+
+(* Every access a new line: the whole trip through [Memory]'s pass
+   and fill path, whose clocks are float cells and whose ready time is
+   left in one, boxes only the issue time handed to it. *)
+let test_new_lines_allocate_little () =
+  check_words_per_trip "a load per new line" ~bound:6. (load_stepping 64)
+
+(* 4 sharers: the repeats are memo hits on the alias path, which run
+   the alias part inline. *)
+let test_alias_memo_hits_barely_allocate () =
+  check_words_per_trip "a 4-byte load stream at 4 sharers" ~bound:1. ~ram_sharers:4
+    (load_stepping 4)
 
 (* The port-booking rings are arrays far over 256 words, so they would
    go straight to the major heap where the minor-word test above cannot
@@ -597,7 +727,7 @@ let gen_machine =
 
 (* Both engines share [Memory], so the engine suites cannot see a
    change to it; the reference copy can.  Its memo branch serves the
-   repeats the current [Memory] sends through the stream scans. *)
+   repeats the current [Memory] sends through the stream-table pass. *)
 let prop_memory_matches_reference =
   let open QCheck in
   let gen = Gen.(pair gen_machine (list_size (1 -- 12) gen_burst)) in
@@ -686,4 +816,12 @@ let tests =
       test_spare_pipeline;
     Alcotest.test_case "an unclaimed spare is collected" `Quick
       test_spare_is_weak;
+    Alcotest.test_case "equiv: alias memo hits" `Quick test_equiv_alias_memo_hits;
+    QCheck_alcotest.to_alcotest prop_booker_matches_reference;
+    Alcotest.test_case "booker: a walk across the whole ring" `Quick
+      test_booker_walk_across_the_ring;
+    Alcotest.test_case "new-line loads allocate few minor words"
+      `Quick test_new_lines_allocate_little;
+    Alcotest.test_case "alias memo hits barely allocate"
+      `Quick test_alias_memo_hits_barely_allocate;
   ]
